@@ -195,8 +195,8 @@ impl Pair {
 }
 
 /// One labeled pair as a JSON row: the Fig. 3 decomposition plus both
-/// runs flattened through the metrics registry (the same series names the
-/// CLI's JSON export uses).
+/// runs' metrics documents ([`export::metrics_json`], the document the
+/// CLI's `--json` prints).
 pub fn pair_json(label: &str, pair: &Pair) -> Json {
     let d = pair.decomposition();
     Json::obj([
@@ -210,8 +210,8 @@ pub fn pair_json(label: &str, pair: &Pair) -> Json {
                 ("pollution", Json::from(d.pollution)),
             ]),
         ),
-        ("std", export::registry_from(&pair.std).to_json()),
-        ("ft", export::registry_from(&pair.ft).to_json()),
+        ("std", export::metrics_json(&pair.std, &[])),
+        ("ft", export::metrics_json(&pair.ft, &[])),
     ])
 }
 
@@ -310,12 +310,14 @@ mod tests {
             .get("decomposition")
             .and_then(|d| d.get("create"))
             .is_some());
-        // The registry series include per-node breakdowns.
-        let ft = row.get("ft").unwrap().as_array().unwrap();
-        assert!(ft.iter().any(|s| {
-            s.get("name").and_then(|v| v.as_str()) == Some("refs_total")
-                && s.get("labels").and_then(|l| l.get("node")).is_some()
-        }));
+        // Each run is embedded as its full metrics document.
+        for (key, run) in [("std", &pair.std), ("ft", &pair.ft)] {
+            assert_eq!(
+                row.get(key).unwrap().to_string_pretty(),
+                export::metrics_json(run, &[]).to_string_pretty(),
+                "{key} row is not the run's metrics document"
+            );
+        }
         let dir = std::env::temp_dir();
         let path =
             write_bench_json_to(&dir, "unit_test", vec![pair_json("water@400", &pair)]).unwrap();

@@ -102,6 +102,19 @@ impl Parsed {
         }
     }
 
+    /// Integer flag with a default, narrowed to the flag's field type.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the value does not parse or does not fit in `T`.
+    pub fn int_or<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T, ArgError> {
+        if !self.has(key) {
+            return Ok(default);
+        }
+        let v = self.u64_or(key, 0)?;
+        T::try_from(v).map_err(|_| ArgError(format!("--{key}: {v} is out of range")))
+    }
+
     /// Float flag with a default.
     ///
     /// # Errors
@@ -180,6 +193,11 @@ mod tests {
         assert!(p("run stray").is_err());
         assert!(p("run --nodes 4 --nodes 5").is_err());
         assert!(p("run --nodes four").unwrap().u64_or("nodes", 1).is_err());
+        assert!(p("run --nodes 65540")
+            .unwrap()
+            .int_or("nodes", 1u16)
+            .is_err());
+        assert_eq!(p("run --nodes 9").unwrap().int_or("nodes", 1u16), Ok(9));
     }
 
     #[test]

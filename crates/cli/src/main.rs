@@ -171,7 +171,13 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     let ft = if p.has("no-ft") {
         FtConfig::disabled()
     } else {
-        FtConfig::enabled(p.f64_or("freq", 100.0)?)
+        let freq = p.f64_or("freq", 100.0)?;
+        if !(freq.is_finite() && freq > 0.0) {
+            return Err(ArgError(format!(
+                "--freq must be a positive number of recovery points per second, got {freq}"
+            )));
+        }
+        FtConfig::enabled(freq)
     };
     let net = if p.has("wormhole") {
         ftcoma_net_config_wormhole()
@@ -188,18 +194,14 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     // Reliable-transport retry policy. The defaults reproduce the
     // historical constants, so runs that leave these flags alone are
     // byte-identical to builds that predate them.
-    let retry = {
-        let d = RetryPolicy::default();
-        let retry = RetryPolicy {
-            rto_base: p.u64_or("rto-base", d.rto_base)?,
-            rto_cap: p.u64_or("rto-cap", d.rto_cap)?,
-            max_retries: p.u64_or("max-retries", u64::from(d.max_retries))? as u32,
-        };
-        retry.validate().map_err(ArgError)?;
-        retry
+    let d = RetryPolicy::default();
+    let retry = RetryPolicy {
+        rto_base: p.u64_or("rto-base", d.rto_base)?,
+        rto_cap: p.u64_or("rto-cap", d.rto_cap)?,
+        max_retries: p.int_or("max-retries", d.max_retries)?,
     };
-    Ok(MachineConfig {
-        nodes: p.u64_or("nodes", 16)? as u16,
+    let cfg = MachineConfig {
+        nodes: p.int_or("nodes", 16)?,
         refs_per_node: p.u64_or("refs", 60_000)?,
         warmup_refs_per_node: p.u64_or("warmup", 30_000)?,
         workload: workload(p)?,
@@ -211,7 +213,9 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
         trace_capacity: p.u64_or("trace-capacity", default_trace_capacity)? as usize,
         timeseries_every: p.u64_or("timeseries-every", default_ts_every)?,
         ..MachineConfig::default()
-    })
+    };
+    cfg.validate().map_err(ArgError)?;
+    Ok(cfg)
 }
 
 /// Handles the structured-output flags shared by `run` and `failure`.
@@ -361,7 +365,7 @@ fn injection_flags(p: &Parsed) -> Result<Option<(u64, u16, FailureKind)>, ArgErr
     };
     Ok(Some((
         p.u64_or("fail-at", 0)?,
-        p.u64_or("fail-node", 1)? as u16,
+        p.int_or("fail-node", 1)?,
         kind,
     )))
 }
@@ -631,7 +635,7 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
     }
     let scenario = Scenario {
         kind,
-        node: p.u64_or("node", 1)? as u16,
+        node: p.int_or("node", 1)?,
         // For a continuous process `at` is the start offset (0 = sample
         // from the beginning); for scripted faults it is the fault cycle.
         at: p.u64_or(
@@ -644,6 +648,12 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         )?,
         repair_at,
     };
+    if scenario.node >= cfg.nodes {
+        return Err(ArgError(format!(
+            "--node {} out of range for {} nodes",
+            scenario.node, cfg.nodes
+        )));
+    }
     if let Some(r) = repair_at {
         if r <= scenario.at {
             return Err(ArgError(format!(
@@ -869,7 +879,7 @@ fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
     if p.has("workload") {
         cfg.workload = workload(p)?;
     }
-    cfg.nodes = p.u64_or("nodes", u64::from(cfg.nodes))? as u16;
+    cfg.nodes = p.int_or("nodes", cfg.nodes)?;
     cfg.freq_hz = p.f64_or("freq", cfg.freq_hz)?;
     cfg.refs_per_node = p.u64_or("refs", cfg.refs_per_node)?;
     cfg.net_faults = p.has("net-faults");

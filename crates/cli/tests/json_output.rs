@@ -433,6 +433,34 @@ fn export_failures_exit_through_the_error_path_not_a_panic() {
 }
 
 #[test]
+fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
+    // Out-of-range integers must not wrap into a different machine (65540
+    // nodes used to run a 4-node one), and configurations the machine
+    // rejects must not reach its constructor's panic.
+    let cases: &[&[&str]] = &[
+        &[
+            "run", "--nodes", "65540", "--refs", "2000", "--warmup", "0", "--json",
+        ],
+        &["run", "--nodes", "2"],
+        &["run", "--refs", "0"],
+        &["run", "--freq", "0"],
+        &["run", "--freq", "inf"],
+        &["run", "--fail-at", "1000", "--fail-node", "65537"],
+        &["run", "--max-retries", "4294967297"],
+        &["failure", "--node", "65537"],
+        &["failure", "--node", "20"],
+        &["chaos", "--nodes", "65540"],
+    ];
+    for args in cases {
+        let out = ftcoma(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn json_rejects_unknown_subcommand_flags() {
     let out = ftcoma(&["latency", "--json"]);
     assert!(!out.status.success(), "latency does not take --json");

@@ -108,29 +108,40 @@ impl MachineConfig {
 
     /// Validates the configuration.
     ///
+    /// # Errors
+    ///
+    /// Returns a message if there are fewer than two nodes (the ECP needs a
+    /// second AM for every recovery copy), fewer than four with the ECP on,
+    /// no references to run, or an invalid retry policy.
+    ///
     /// # Panics
     ///
-    /// Panics if there are fewer than two nodes (the ECP needs a second AM
-    /// for every recovery copy), no references to run, or inconsistent
-    /// sub-configurations.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 2, "the machine needs at least two nodes");
+    /// Panics if the workload, timing, AM or cache sub-configuration is
+    /// inconsistent.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err("the machine needs at least two nodes".into());
+        }
         // "Four copies are necessary during the create phase" — a modified
         // item needs its two old Inv-CK copies, the Pre-Commit1 original
         // and a Pre-Commit2 replica on four *distinct* nodes (an AM holds
         // at most one copy of an item).
-        assert!(
-            !self.ft.mode.is_enabled() || self.nodes >= 4,
-            "the ECP needs at least four nodes (four copies per modified              item during establishment)"
-        );
-        assert!(self.refs_per_node > 0, "refs_per_node must be positive");
-        if let Err(e) = self.retry.validate() {
-            panic!("{e}");
+        if self.ft.mode.is_enabled() && self.nodes < 4 {
+            return Err(
+                "the ECP needs at least four nodes (four copies per modified \
+                 item during establishment)"
+                    .into(),
+            );
         }
+        if self.refs_per_node == 0 {
+            return Err("refs_per_node must be positive".into());
+        }
+        self.retry.validate()?;
         self.workload.validate();
         self.timing.validate();
         self.am.validate();
         self.cache.validate();
+        Ok(())
     }
 }
 
@@ -140,16 +151,18 @@ mod tests {
 
     #[test]
     fn default_validates() {
-        MachineConfig::default().validate();
+        assert_eq!(MachineConfig::default().validate(), Ok(()));
     }
 
     #[test]
     #[should_panic(expected = "two nodes")]
     fn rejects_single_node() {
-        MachineConfig {
+        let cfg = MachineConfig {
             nodes: 1,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert!(cfg.validate().is_err_and(|e| e.contains("two nodes")));
+        // `Machine::new` keeps its documented panic on an invalid config.
+        crate::Machine::new(cfg);
     }
 }

@@ -30,7 +30,6 @@
 
 use ftcoma_net::LinkReport;
 use ftcoma_sim::json::Json;
-use ftcoma_sim::registry::MetricsRegistry;
 use ftcoma_sim::span::{SpanPhase, SpanRecord};
 use ftcoma_sim::Cycles;
 
@@ -38,9 +37,8 @@ use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
 use crate::tracelog::TraceEvent;
 
 /// Version of the exported JSON schemas. Bump on any breaking change to
-/// the key set or meaning of [`metrics_json`], [`trace_jsonl`], the bench
-/// harness documents built from [`registry_from`], or the campaign report
-/// produced by `ftcoma-campaign`.
+/// the key set or meaning of [`metrics_json`], [`trace_jsonl`], or the
+/// campaign report produced by `ftcoma-campaign`.
 ///
 /// Version history:
 /// * 1 — per-run metrics document, JSONL trace, bench documents.
@@ -301,67 +299,6 @@ fn link_row(l: &LinkReport, total_cycles: Cycles) -> Json {
     ])
 }
 
-/// Flattens a run into labeled counter/gauge series — the uniform
-/// representation the bench harness stores alongside its decomposition
-/// documents.
-pub fn registry_from(m: &RunMetrics) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    reg.counter_add("refs_total", &[], m.refs);
-    reg.counter_add("instructions_total", &[], m.instructions);
-    reg.counter_add("read_misses_total", &[], m.read_misses);
-    reg.counter_add("write_misses_total", &[], m.write_misses);
-    reg.counter_add("checkpoints_total", &[], m.checkpoints);
-    reg.counter_add("failures_total", &[], m.failures);
-    reg.counter_add("repairs_total", &[], m.repairs);
-    reg.counter_add("faults_survived_total", &[], m.faults_survived);
-    reg.counter_add("faults_unsurvivable_total", &[], m.faults_unsurvivable);
-    reg.counter_add("recovery_restarts_total", &[], m.recovery_restarts);
-    reg.counter_add("items_checkpointed_total", &[], m.items_checkpointed);
-    reg.counter_add("replication_bytes_total", &[], m.replication_bytes);
-    reg.counter_add("net_messages_total", &[], m.net_messages);
-    reg.counter_add("net_retries_total", &[], m.net_retries);
-    reg.counter_add("net_timeouts_total", &[], m.net_timeouts);
-    reg.counter_add("net_detour_hops_total", &[], m.net_detour_hops);
-    reg.counter_add("net_dropped_msgs_total", &[], m.net_dropped_msgs);
-    for (cause, v) in [
-        ("replacement", m.injections_replacement),
-        ("on_read", m.injections_on_read),
-        ("write_inv_ck", m.injections_write_inv_ck),
-        ("write_shared_ck", m.injections_write_shared_ck),
-    ] {
-        reg.counter_add("injections_total", &[("cause", cause)], v);
-    }
-    reg.gauge_set("read_miss_rate", &[], m.read_miss_rate());
-    reg.gauge_set("write_miss_rate", &[], m.write_miss_rate());
-    reg.gauge_set("pages_allocated", &[], m.pages_allocated as f64);
-    reg.gauge_set("pages_peak", &[], m.pages_peak as f64);
-    let s = m.access_latency.summary();
-    reg.gauge_set("access_latency_p50", &[], s.p50);
-    reg.gauge_set("access_latency_p90", &[], s.p90);
-    reg.gauge_set("access_latency_p99", &[], s.p99);
-    reg.gauge_set("availability", &[], m.availability());
-    reg.gauge_set("mttr_cycles", &[], m.mttr_cycles());
-    for (name, h) in m.phases.named() {
-        let labels: &[(&str, &str)] = &[("phase", name)];
-        let ps = h.summary();
-        reg.counter_add("phase_samples_total", labels, ps.count);
-        reg.gauge_set("phase_latency_p50", labels, ps.p50);
-        reg.gauge_set("phase_latency_p99", labels, ps.p99);
-    }
-    for (i, n) in m.per_node.iter().enumerate() {
-        let id = i.to_string();
-        let labels: &[(&str, &str)] = &[("node", id.as_str())];
-        reg.counter_add("refs_total", labels, n.refs);
-        reg.counter_add("read_misses_total", labels, n.read_misses);
-        reg.counter_add("write_misses_total", labels, n.write_misses);
-        reg.counter_add("node_injections_total", labels, n.injections);
-        reg.counter_add("ckpt_stall_cycles_total", labels, n.ckpt_stall_cycles);
-        reg.counter_add("rollback_cycles_total", labels, n.rollback_cycles);
-        reg.gauge_set("pages_allocated", labels, n.pages_allocated as f64);
-    }
-    reg
-}
-
 /// One trace event as a flat JSON object (`type` + `at` + variant fields).
 pub fn trace_event_json(e: &TraceEvent) -> Json {
     let mut pairs = vec![
@@ -494,10 +431,9 @@ pub fn timeseries_jsonl(rows: &[TsSample]) -> String {
 /// The `tid` of the synthetic "network" track carrying per-hop spans.
 const NET_TID: u64 = 1_000_000;
 
-/// Converts a trace into the Chrome trace-event format (the JSON object
-/// form, `{"traceEvents": [...]}`), viewable in Perfetto or
-/// `chrome://tracing`. Equivalent to [`chrome_trace_with_spans`] with no
-/// spans.
+/// Converts a trace and its causal span records into the Chrome
+/// trace-event format (the JSON object form, `{"traceEvents": [...]}`),
+/// viewable in Perfetto or `chrome://tracing`.
 ///
 /// Track layout: one process (`pid` 0) with `tid` 0 as the machine-wide
 /// coordinator track and `tid` *n*+1 as node *n*'s track. Timestamps are
@@ -505,16 +441,13 @@ const NET_TID: u64 = 1_000_000;
 /// recovery phases become complete (`"X"`) spans by pairing their begin /
 /// end events; per-node commit and rollback scans become `"X"` spans on
 /// the node tracks; deliveries, failures and repairs are instants (`"i"`).
-pub fn chrome_trace(events: &[TraceEvent], clock_hz: f64) -> Json {
-    chrome_trace_with_spans(events, &[], clock_hz)
-}
-
-/// [`chrome_trace`] plus causal span records: each span becomes a complete
-/// (`"X"`) slice — roots on their node's track, network hops on a synthetic
-/// "network" track — and every root span additionally emits a flow
-/// (`"s"`/`"t"`/`"f"` rows sharing the span id), so Perfetto draws
-/// end-to-end arrows from a transaction's start through each leg to its
-/// completion (and likewise across a recovery's phases).
+///
+/// Each span record becomes a complete (`"X"`) slice — roots on their
+/// node's track, network hops on a synthetic "network" track — and every
+/// root span additionally emits a flow (`"s"`/`"t"`/`"f"` rows sharing the
+/// span id), so Perfetto draws end-to-end arrows from a transaction's
+/// start through each leg to its completion (and likewise across a
+/// recovery's phases). Pass `&[]` for `spans` to export the trace alone.
 pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[SpanRecord], clock_hz: f64) -> Json {
     let us = |c: Cycles| c as f64 * 1e6 / clock_hz;
     let mut rows: Vec<Json> = Vec::new();
@@ -833,14 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_machine_and_node_series() {
-        let reg = registry_from(&sample_metrics());
-        assert_eq!(reg.counter("refs_total", &[]), Some(5_000));
-        assert_eq!(reg.counter("refs_total", &[("node", "1")]), Some(2_500));
-        assert!(reg.gauge("access_latency_p99", &[]).is_some());
-    }
-
-    #[test]
     fn trace_jsonl_is_one_object_per_line() {
         let events = vec![
             TraceEvent::Delivery {
@@ -891,7 +816,7 @@ mod tests {
             },
             TraceEvent::Recovered { at: 900 },
         ];
-        let doc = chrome_trace(&events, 20_000_000.0);
+        let doc = chrome_trace_with_spans(&events, &[], 20_000_000.0);
         let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
         // Every row has the mandatory keys.
         for r in rows {
@@ -1107,7 +1032,7 @@ mod tests {
     #[test]
     fn chrome_trace_unpaired_end_degrades_to_instant() {
         let events = vec![TraceEvent::CheckpointCommitted { at: 200, gen: 3 }];
-        let doc = chrome_trace(&events, 20_000_000.0);
+        let doc = chrome_trace_with_spans(&events, &[], 20_000_000.0);
         let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert!(rows.iter().any(|r| {
             r.get("ph").and_then(|v| v.as_str()) == Some("i")

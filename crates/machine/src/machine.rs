@@ -251,7 +251,9 @@ impl Machine {
     /// Panics if the configuration is invalid
     /// ([`MachineConfig::validate`]).
     pub fn new(cfg: MachineConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let n = cfg.nodes as usize;
         let nodes: Vec<NodeState> = (0..cfg.nodes)
             .map(|i| NodeState::new(NodeId::new(i), cfg.am, cfg.cache))

@@ -272,16 +272,6 @@ impl TraceLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Renders the retained events, one per line.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.events {
-            let _ = writeln!(out, "{e}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -330,14 +320,13 @@ mod tests {
 
     #[test]
     fn render_is_line_per_event() {
-        let mut log = TraceLog::new(8);
-        log.push(TraceEvent::Failure {
+        let failure = TraceEvent::Failure {
             at: 5,
             node: NodeId::new(2),
             permanent: true,
-        });
-        log.push(TraceEvent::CheckpointCommitted { at: 9, gen: 3 });
-        let text = log.render();
+        };
+        let commit = TraceEvent::CheckpointCommitted { at: 9, gen: 3 };
+        let text = format!("{failure}\n{commit}\n");
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("n2 failed (permanent)"));
         assert!(text.contains("recovery point 3 committed"));

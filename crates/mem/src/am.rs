@@ -133,13 +133,6 @@ pub enum InjectionAccept {
     Reject,
 }
 
-impl InjectionAccept {
-    /// Does this outcome accept the injection?
-    pub fn is_accept(self) -> bool {
-        self != InjectionAccept::Reject
-    }
-}
-
 /// Error returned when a page cannot be allocated without evicting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetFull {

@@ -11,8 +11,8 @@
 //! * [`Clock`] — cycle/wall-clock conversions for the 20 MHz machine;
 //! * [`rng`] — seeded, splittable random-number generation so that every
 //!   simulation run is exactly reproducible;
-//! * [`stats`] — counters, ratios and running statistics used by the
-//!   metrics collection in `ftcoma-machine`;
+//! * [`stats`] — the log₂ latency histogram behind the access-latency and
+//!   per-phase percentiles of `ftcoma-machine`'s metrics;
 //! * [`span`] — causal span records (typed phases, parent links) for the
 //!   transaction- and recovery-time decompositions.
 //!
@@ -38,7 +38,6 @@
 pub mod fxhash;
 pub mod json;
 pub mod queue;
-pub mod registry;
 pub mod rng;
 pub mod span;
 pub mod stats;
@@ -46,7 +45,6 @@ pub mod stats;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::Json;
 pub use queue::EventQueue;
-pub use registry::MetricsRegistry;
 pub use rng::{derive_seed, DetRng};
 
 /// Simulation time, measured in processor clock cycles.
@@ -102,11 +100,6 @@ impl Clock {
         cycles as f64 / self.hz
     }
 
-    /// Converts seconds of simulated time to (rounded) cycles.
-    pub fn secs_to_cycles(&self, secs: f64) -> Cycles {
-        (secs * self.hz).round() as Cycles
-    }
-
     /// Cycle period of an event recurring `rate_hz` times per simulated
     /// second — e.g. the recovery-point establishment period.
     ///
@@ -119,16 +112,6 @@ impl Clock {
             "rate must be positive"
         );
         (self.hz / rate_hz).round() as Cycles
-    }
-
-    /// Throughput in bytes per simulated second given `bytes` moved over
-    /// `cycles` cycles. Returns 0.0 when `cycles == 0`.
-    pub fn bytes_per_sec(&self, bytes: u64, cycles: Cycles) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            bytes as f64 / self.cycles_to_secs(cycles)
-        }
     }
 }
 
@@ -147,16 +130,6 @@ mod tests {
         let c = Clock::ksr1();
         assert_eq!(c.period_for_rate_hz(5.0), 4_000_000);
         assert_eq!(c.period_for_rate_hz(400.0), 50_000);
-        assert_eq!(c.secs_to_cycles(c.cycles_to_secs(123_456)), 123_456);
-    }
-
-    #[test]
-    fn clock_throughput() {
-        let c = Clock::ksr1();
-        // 1 MB over one simulated second.
-        let bps = c.bytes_per_sec(1_000_000, 20_000_000);
-        assert!((bps - 1_000_000.0).abs() < 1e-6);
-        assert_eq!(c.bytes_per_sec(10, 0), 0.0);
     }
 
     #[test]

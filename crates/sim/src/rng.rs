@@ -242,21 +242,6 @@ fn ln_unit(x: f64) -> f64 {
     e as f64 * core::f64::consts::LN_2 + 2.0 * sum
 }
 
-impl DetRng {
-    /// Returns the next 32 random bits (the high half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,362 +1,10 @@
-//! Statistics accumulators used by the metrics layer.
+//! Latency histograms for the metrics layer.
 //!
-//! The paper reports miss *rates*, injections *per 10 000 references*,
-//! replication *throughput* and execution-time *decompositions*; the small
-//! set of accumulators here covers those reporting styles.
-
-use crate::Cycles;
-
-/// An event counter.
-///
-/// # Example
-///
-/// ```
-/// use ftcoma_sim::stats::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.0)
-    }
-
-    /// This count per 10 000 units of `base` — the paper's favourite unit
-    /// ("injections per 10 000 memory references"). Returns 0.0 when `base`
-    /// is zero.
-    pub fn per_10k(&self, base: u64) -> f64 {
-        if base == 0 {
-            0.0
-        } else {
-            self.0 as f64 * 10_000.0 / base as f64
-        }
-    }
-}
-
-/// A hit/total ratio, e.g. a miss rate.
-///
-/// # Example
-///
-/// ```
-/// use ftcoma_sim::stats::Ratio;
-///
-/// let mut misses = Ratio::new();
-/// misses.record(true);
-/// misses.record(false);
-/// misses.record(false);
-/// assert!((misses.rate() - 1.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Creates an empty ratio.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation; `hit` selects the numerator.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// hits / total, or 0.0 when empty.
-    pub fn rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// `rate()` as a percentage.
-    pub fn percent(&self) -> f64 {
-        self.rate() * 100.0
-    }
-}
-
-/// Running mean / min / max / variance (Welford).
-///
-/// # Example
-///
-/// ```
-/// use ftcoma_sim::stats::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.min(), 2.0);
-/// assert_eq!(s.max(), 6.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
-
-/// Accumulates bytes moved during tagged windows of simulated time, used for
-/// the replication-throughput figures (Figs. 4 and 9).
-///
-/// All quantities are **simulated cycles**, never host wall-clock time:
-/// nothing in this module (or anywhere in `ftcoma-sim`) reads `Instant`,
-/// so no wall-clock value can leak into a determinism-gated document.
-///
-/// # Example
-///
-/// ```
-/// use ftcoma_sim::stats::ThroughputMeter;
-///
-/// let mut m = ThroughputMeter::new();
-/// m.begin_window(100);
-/// m.add_bytes(1024);
-/// m.end_window(200);
-/// assert_eq!(m.bytes(), 1024);
-/// assert_eq!(m.busy_cycles(), 100);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    busy: Cycles,
-    window_start: Option<Cycles>,
-}
-
-impl ThroughputMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens a measurement window at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window is already open.
-    pub fn begin_window(&mut self, now: Cycles) {
-        assert!(self.window_start.is_none(), "window already open");
-        self.window_start = Some(now);
-    }
-
-    /// Closes the current window at time `now`, accumulating its duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window is open or `now` precedes the window start.
-    pub fn end_window(&mut self, now: Cycles) {
-        let start = self.window_start.take().expect("no window open");
-        assert!(now >= start, "window ends before it starts");
-        self.busy += now - start;
-    }
-
-    /// Adds transferred bytes (window need not be open; bytes always count).
-    pub fn add_bytes(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total cycles spent inside closed windows.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.busy
-    }
-
-    /// Bytes per cycle over the accumulated windows (0.0 when no window
-    /// time has been accumulated).
-    pub fn bytes_per_cycle(&self) -> f64 {
-        if self.busy == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.busy as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_per_10k() {
-        let mut c = Counter::new();
-        c.add(25);
-        assert!((c.per_10k(10_000) - 25.0).abs() < 1e-12);
-        assert!((c.per_10k(20_000) - 12.5).abs() < 1e-12);
-        assert_eq!(c.per_10k(0), 0.0);
-        assert_eq!(c.take(), 25);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn ratio_empty_is_zero() {
-        let r = Ratio::new();
-        assert_eq!(r.rate(), 0.0);
-        assert_eq!(r.percent(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_variance() {
-        let mut s = RunningStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert!((s.sum() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn throughput_meter_windows_accumulate() {
-        let mut m = ThroughputMeter::new();
-        m.begin_window(0);
-        m.add_bytes(100);
-        m.end_window(50);
-        m.begin_window(80);
-        m.add_bytes(100);
-        m.end_window(130);
-        assert_eq!(m.busy_cycles(), 100);
-        assert!((m.bytes_per_cycle() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "window already open")]
-    fn throughput_meter_double_open_panics() {
-        let mut m = ThroughputMeter::new();
-        m.begin_window(0);
-        m.begin_window(1);
-    }
-}
+//! Access latencies and the per-phase transaction and recovery latencies
+//! are recorded in a log₂-bucketed [`Histogram`]; its
+//! [`HistogramSummary`] is what the metrics document exports. Rates,
+//! per-10 000-reference counts and decompositions are plain arithmetic on
+//! `RunMetrics` counters in `ftcoma-machine`.
 
 /// A log₂-bucketed histogram for latency-style quantities.
 ///

@@ -37,7 +37,6 @@
 
 pub mod presets;
 pub mod stream;
-pub mod trace;
 pub mod zipf;
 
 pub use presets::{SharingStyle, SplashConfig};
