@@ -1030,7 +1030,9 @@ fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRecord>, ArgError> {
                 start: row.get("start").and_then(Json::as_u64)?,
                 end: row.get("end").and_then(Json::as_u64)?,
             })
-        })();
+        })()
+        // A span never ends before it starts (`duration` relies on it).
+        .filter(|s| s.end >= s.start);
         spans.push(parsed.ok_or_else(|| ArgError(format!("line {}: malformed span row", ln + 1)))?);
     }
     Ok(spans)

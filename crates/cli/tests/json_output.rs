@@ -435,8 +435,19 @@ fn export_failures_exit_through_the_error_path_not_a_panic() {
 #[test]
 fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
     // Out-of-range integers must not wrap into a different machine (65540
-    // nodes used to run a 4-node one), and configurations the machine
-    // rejects must not reach its constructor's panic.
+    // nodes used to run a 4-node one), configurations the machine rejects
+    // must not reach its constructor's panic, and a span that ends before
+    // it starts must not reach `SpanRecord::duration`'s subtraction.
+    let spans = std::env::temp_dir().join(format!(
+        "ftcoma_test_inverted_span_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(
+        &spans,
+        r#"{"id": 1, "parent": 0, "phase": "transaction", "node": 0, "start": 10, "end": 5}"#,
+    )
+    .unwrap();
+    let spans = spans.to_string_lossy().into_owned();
     let cases: &[&[&str]] = &[
         &[
             "run", "--nodes", "65540", "--refs", "2000", "--warmup", "0", "--json",
@@ -450,6 +461,7 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         &["failure", "--node", "65537"],
         &["failure", "--node", "20"],
         &["chaos", "--nodes", "65540"],
+        &["trace", "summarize", "--spans", &spans],
     ];
     for args in cases {
         let out = ftcoma(args);
@@ -458,6 +470,7 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_file(&spans);
 }
 
 #[test]

@@ -6,10 +6,9 @@
 //! restored to Shared-CK. … No action is required for Shared-CK copies."
 //! For a *permanent* failure, "each Shared-CK copy has to check whether its
 //! replica is still alive or not. If not, a new Shared-CK copy has to be
-//! created on a safe node" — see [`promote_and_collect_orphans`] (the
-//! paper's pointer-chasing formulation) and [`collect_singleton_orphans`]
-//! (the pointer-agnostic variant the machine uses, robust to stale
-//! partner pointers); either's output feeds
+//! created on a safe node" — see [`collect_singleton_orphans`], which finds
+//! such copies by counting live copies per item rather than by chasing
+//! partner pointers (robust to stale ones); its output feeds
 //! [`crate::Engine::begin_reconfig`].
 //!
 //! The paper does not detail how the localization pointers of a failed home
@@ -206,39 +205,19 @@ pub fn wipe_dead_node(ns: &mut NodeState) {
     ns.pending_fill.clear();
 }
 
-/// After all live nodes rolled back: promotes `Shared-CK2` copies whose
-/// primary died to `Shared-CK1`, and returns the items on this node whose
-/// recovery sibling lived on `dead` — each needs a fresh `Shared-CK2`
-/// replica (fed to [`crate::Engine::begin_reconfig`]).
-pub fn promote_and_collect_orphans(ns: &mut NodeState, dead: NodeId) -> Vec<ItemId> {
-    let orphans: Vec<ItemId> = ns
-        .am
-        .items_where(|s| s.state.is_committed_recovery() && s.partner == Some(dead));
-    for &item in &orphans {
-        let slot = ns.am.slot_mut(item).expect("orphan present");
-        debug_assert!(matches!(
-            slot.state,
-            ItemState::SharedCk1 | ItemState::SharedCk2
-        ));
-        slot.state = ItemState::SharedCk1; // survivor becomes the primary
-        slot.partner = None;
-    }
-    orphans
-}
-
 /// After the rollback and dedup passes of a *permanent* failure: finds
 /// every committed recovery copy whose sibling no longer exists on any
 /// live node, promotes the survivor to `Shared-CK1` and returns the
 /// orphans grouped by surviving host (in node order, each node's items in
 /// its AM's deterministic iteration order).
 ///
-/// This deliberately does **not** trust partner pointers, unlike
-/// [`promote_and_collect_orphans`]: a copy that had just finished
-/// migrating when the failure struck may leave its sibling's pointer
-/// aimed at the *old* host (the `PartnerUpdate` message was purged with
-/// the rest of the in-flight traffic), so a pointer scan misses the
-/// orphan when the fault kills the new host. Counting live copies per
-/// item is immune to stale pointers.
+/// This deliberately does **not** chase partner pointers, as a literal
+/// reading of the paper would: a copy that had just finished migrating
+/// when the failure struck may leave its sibling's pointer aimed at the
+/// *old* host (the `PartnerUpdate` message was purged with the rest of
+/// the in-flight traffic), so a pointer scan misses the orphan when the
+/// fault kills the new host. Counting live copies per item is immune to
+/// stale pointers.
 pub fn collect_singleton_orphans(nodes: &mut [NodeState]) -> Vec<(NodeId, Vec<ItemId>)> {
     use std::collections::HashMap;
     let mut copies: HashMap<ItemId, u32> = HashMap::new();
@@ -492,25 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn promotion_turns_survivor_into_primary() {
-        let dead = NodeId::new(7);
-        let mut ns = NodeState::ksr1(NodeId::new(0));
-        install(&mut ns, 0, ItemState::SharedCk2, Some(dead)); // primary died
-        install(&mut ns, 1, ItemState::SharedCk1, Some(dead)); // secondary died
-        install(&mut ns, 2, ItemState::SharedCk1, Some(NodeId::new(2))); // intact
-
-        let orphans = promote_and_collect_orphans(&mut ns, dead);
-        assert_eq!(orphans.len(), 2);
-        assert_eq!(ns.am.state(ItemId::new(0)), ItemState::SharedCk1);
-        assert_eq!(ns.am.state(ItemId::new(1)), ItemState::SharedCk1);
-        assert_eq!(ns.am.slot(ItemId::new(0)).unwrap().partner, None);
-        assert_eq!(
-            ns.am.slot(ItemId::new(2)).unwrap().partner,
-            Some(NodeId::new(2))
-        );
-    }
-
-    #[test]
     fn singleton_scan_finds_orphans_with_stale_partner_pointers() {
         // Pair was (n0, n2); the n2 copy had just migrated to n1 when n1
         // died, and the PartnerUpdate to n0 was purged in flight: n0 still
@@ -525,14 +485,21 @@ mod tests {
         // An intact pair on (n0, n2) must be left alone.
         install(&mut nodes[0], 1, ItemState::SharedCk1, Some(NodeId::new(2)));
         install(&mut nodes[2], 1, ItemState::SharedCk2, Some(NodeId::new(0)));
+        // A primary whose secondary sat on the dead node is an orphan too.
+        install(&mut nodes[0], 2, ItemState::SharedCk1, Some(NodeId::new(1)));
         nodes[1].alive = false;
 
         let orphans = collect_singleton_orphans(&mut nodes);
-        assert_eq!(orphans, vec![(NodeId::new(0), vec![ItemId::new(0)])]);
-        // Survivor was promoted to primary and unpaired.
-        let slot = nodes[0].am.slot(ItemId::new(0)).unwrap();
-        assert_eq!(slot.state, ItemState::SharedCk1);
-        assert_eq!(slot.partner, None);
+        assert_eq!(
+            orphans,
+            vec![(NodeId::new(0), vec![ItemId::new(0), ItemId::new(2)])]
+        );
+        // Each survivor is (or stays) the primary, unpaired.
+        for item in [0, 2] {
+            let slot = nodes[0].am.slot(ItemId::new(item)).unwrap();
+            assert_eq!(slot.state, ItemState::SharedCk1);
+            assert_eq!(slot.partner, None);
+        }
         // The intact pair kept its states and pointers.
         assert_eq!(nodes[0].am.state(ItemId::new(1)), ItemState::SharedCk1);
         assert_eq!(nodes[2].am.state(ItemId::new(1)), ItemState::SharedCk2);

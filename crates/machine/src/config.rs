@@ -2,7 +2,7 @@
 
 use ftcoma_core::FtConfig;
 use ftcoma_mem::{AmGeometry, CacheGeometry};
-use ftcoma_net::{NetConfig, NetFaultPlan};
+use ftcoma_net::NetConfig;
 use ftcoma_protocol::transport::RetryPolicy;
 use ftcoma_protocol::MemTiming;
 use ftcoma_workloads::{presets, SplashConfig};
@@ -41,11 +41,6 @@ pub struct MachineConfig {
     /// Replace the mesh with a split-transaction shared bus (snooping-style
     /// fabric; see `ftcoma_net::bus`). `None` = the paper's mesh.
     pub bus: Option<ftcoma_net::BusConfig>,
-    /// Deterministic message-level fault plan (drop/duplicate/delay).
-    /// `Some` activates the reliable transport (sequence numbers, acks,
-    /// bounded-backoff retries); `None` keeps the exact fault-free fast
-    /// path, byte-identical to a machine without this feature.
-    pub net_fault: Option<NetFaultPlan>,
     /// Retransmission policy of the reliable transport (RTO base/cap and
     /// the retry budget before escalation). The default reproduces the
     /// historical constants, so fault-free runs — and faulted runs that
@@ -84,7 +79,6 @@ impl Default for MachineConfig {
             timing: MemTiming::ksr1(),
             net: NetConfig::default(),
             bus: None,
-            net_fault: None,
             retry: RetryPolicy::default(),
             am: AmGeometry::ksr1(),
             cache: CacheGeometry::ksr1(),

@@ -41,8 +41,10 @@ pub mod export;
 pub mod faultproc;
 pub mod machine;
 pub mod metrics;
+mod observer;
 pub mod probe;
 pub mod tracelog;
+mod transport;
 
 pub use config::{FailureKind, MachineConfig};
 pub use faultproc::{FaultDist, FaultProcess, FaultProcessConfig};

@@ -8,18 +8,19 @@ use ftcoma_core::{
     RecoveryOutcome,
 };
 use ftcoma_mem::{ItemId, ItemState, NodeId};
-use ftcoma_net::{Fabric, FaultDecision, LogicalRing, NetClass, NetFaultPlan};
-use ftcoma_protocol::msg::{InjectCause, Msg, TxnLeg};
-use ftcoma_protocol::transport::{DedupFilter, SeqSpace};
+use ftcoma_net::{Fabric, LogicalRing, NetClass};
+use ftcoma_protocol::msg::{InjectCause, Msg};
 use ftcoma_protocol::NodeState;
-use ftcoma_sim::span::{SpanId, SpanLog, SpanPhase, SpanRecord};
+use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{derive_seed, Cycles, EventQueue, FxHashMap};
 use ftcoma_workloads::{MemRef, NodeStream, RefStream, StreamSnapshot};
 
 use crate::config::{FailureKind, MachineConfig};
 use crate::faultproc::{FaultAction, FaultProcess, FaultProcessConfig};
 use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
-use crate::tracelog::{TraceEvent, TraceLog};
+use crate::observer::Observer;
+use crate::tracelog::TraceEvent;
+use crate::transport::Transport;
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -59,23 +60,8 @@ enum Event {
     FaultTick,
 }
 
-/// An unacknowledged transport packet awaiting its ack or next retry.
-#[derive(Debug, Clone)]
-struct InFlight {
-    msg: Msg,
-    attempts: u32,
-    /// Original departure time of the logical message (retransmissions keep
-    /// it, so the measured leg latency includes retry delays).
-    sent: Cycles,
-}
-
-/// Ceiling on retained time-series rows: when reached, every other row is
-/// dropped and the sampling stride doubles, keeping memory bounded on
-/// arbitrarily long runs while staying deterministic.
-const MAX_TS_ROWS: usize = 8192;
-
-/// Seed stream for the message-loss plan installed by
-/// [`Machine::set_message_loss`] (decorrelates it from workload streams).
+/// Seed stream for the transport's loss plan (decorrelates it from
+/// workload streams).
 const NET_PLAN_STREAM: u64 = 0xD1A5_7E2C_0FF3_1D07;
 
 /// Seed stream for the continuous fault process installed by
@@ -172,43 +158,15 @@ pub struct Machine {
     /// ([`Machine::install_fault_process`]; `None` = scripted faults only).
     fault_process: Option<FaultProcess>,
 
-    /// Reliable transport active? Flips on when a fault plan is installed
-    /// or an interconnect fault is scheduled; off = the exact legacy
-    /// fire-and-forget path (mesh sends cannot fail on a healthy fabric).
-    transport_active: bool,
-    /// Deterministic drop/duplicate/delay plan consulted per physical send.
-    net_plan: Option<NetFaultPlan>,
-    /// Per-source send sequence spaces (indexed by sender).
-    seqs: Vec<SeqSpace>,
-    /// Per-receiver duplicate suppression (indexed by receiver).
-    dedup: Vec<DedupFilter>,
-    /// Unacked packets by `(src, dst, seq)`.
-    in_flight: FxHashMap<(NodeId, NodeId, u64), InFlight>,
+    /// The reliable transport, switched on by the first interconnect fault
+    /// the machine is told about ([`Machine::activate_transport`]); `None`
+    /// = the fire-and-forget path (mesh sends cannot fail on a healthy
+    /// fabric).
+    transport: Option<Transport>,
 
     committed_values: FxHashMap<ItemId, u64>,
-    trace: TraceLog,
-
-    /// Causal span sink (inert when `trace_capacity` is 0).
-    spans: SpanLog,
-    /// Open root Transaction span per node (0 = none).
-    open_txn: Vec<SpanId>,
-    /// Open root Recovery span: `(id, failure time, failed node)`.
-    open_recovery: Option<(SpanId, Cycles, u16)>,
-    /// Open Replay child span: `(id, recovery-end time)`.
-    open_replay: Option<(SpanId, Cycles)>,
-    /// Start of the current replay window (always on; feeds the replay
-    /// phase histogram independently of span capture).
-    replay_start: Option<Cycles>,
-    /// Per-node down-interval opening time (always on; availability).
-    down_since: Vec<Option<Cycles>>,
-
-    /// Time-series sampling stride (0 = off; doubles when thinning).
-    ts_every: Cycles,
-    /// Next sample time.
-    ts_next: Cycles,
-    /// `refs` as of the previous sample (for per-interval deltas).
-    ts_last_refs: u64,
-    ts_rows: Vec<TsSample>,
+    /// Trace, spans, time series, replay window and down intervals.
+    observer: Observer,
 
     metrics: RunMetrics,
     /// Metrics snapshot taken when warmup completed.
@@ -294,23 +252,9 @@ impl Machine {
             timer_in_queue: false,
             pending_repair: None,
             fault_process: None,
-            transport_active: cfg.net_fault.is_some(),
-            net_plan: cfg.net_fault.clone(),
-            seqs: vec![SeqSpace::new(); n],
-            dedup: vec![DedupFilter::new(); n],
-            in_flight: FxHashMap::default(),
+            transport: None,
             committed_values: FxHashMap::default(),
-            trace: TraceLog::new(cfg.trace_capacity),
-            spans: SpanLog::new(cfg.trace_capacity),
-            open_txn: vec![0; n],
-            open_recovery: None,
-            open_replay: None,
-            replay_start: None,
-            down_since: vec![None; n],
-            ts_every: cfg.timeseries_every,
-            ts_next: cfg.timeseries_every,
-            ts_last_refs: 0,
-            ts_rows: Vec::new(),
+            observer: Observer::new(n, cfg.trace_capacity, cfg.timeseries_every),
             metrics: RunMetrics {
                 nodes: n as u64,
                 per_node: vec![NodeMetrics::default(); n],
@@ -323,10 +267,8 @@ impl Machine {
             halted: false,
             cfg,
         };
-        if machine.spans.enabled() {
-            // Pure observation on the mesh side; timing is unchanged.
-            machine.mesh.set_hop_trace(true);
-        }
+        // Hop segments feed span capture only; timing is unchanged.
+        machine.mesh.set_hop_trace(machine.cfg.trace_capacity > 0);
         for i in 0..n {
             machine.prepare_and_schedule(NodeId::new(i as u16), 0, true);
         }
@@ -388,7 +330,7 @@ impl Machine {
             a.index() < self.nodes.len() && b.index() < self.nodes.len(),
             "no such node"
         );
-        self.transport_active = true;
+        self.activate_transport();
         self.queue.schedule_pre(at, Event::LinkCut { a, b });
     }
 
@@ -408,7 +350,7 @@ impl Machine {
         );
         assert!(self.cfg.bus.is_none(), "router faults need a mesh fabric");
         assert!(node.index() < self.nodes.len(), "no such node");
-        self.transport_active = true;
+        self.activate_transport();
         self.queue.schedule_pre(at, Event::RouterDown { node });
     }
 
@@ -416,58 +358,50 @@ impl Machine {
     /// physical packet is dropped with probability `rate_per_mille`/1000
     /// for a bounded window ([`LOSS_WINDOW`] cycles). The reliable
     /// transport masks the losses with retransmissions. Activates the
-    /// transport.
+    /// transport and arms its standby loss plan in place, keeping the
+    /// plan's seed and send ordinal, so a run forked from a pre-activated
+    /// prefix rolls the same per-packet dice as a straight one.
     ///
     /// # Panics
     ///
-    /// Panics if fault tolerance is disabled, a plan is already installed,
-    /// or the rate exceeds 1000 per-mille.
+    /// Panics if fault tolerance is disabled, a plan is already armed, or
+    /// the rate exceeds 1000 per-mille.
     pub fn set_message_loss(&mut self, at: Cycles, rate_per_mille: u32) {
         assert!(
             self.cfg.ft.mode.is_enabled(),
             "interconnect faults require the ECP machine"
         );
-        match &mut self.net_plan {
-            None => {
-                let plan = NetFaultPlan::message_loss(
-                    derive_seed(self.cfg.seed, NET_PLAN_STREAM),
-                    rate_per_mille,
-                )
-                .with_window(at, at + LOSS_WINDOW);
-                self.net_plan = Some(plan);
-            }
-            // A zero-rate standby plan ([`Machine::preactivate_transport`])
-            // arms in place, keeping its seed and send ordinal so a forked
-            // run rolls the same per-packet dice as a straight one.
-            Some(plan) if plan.rate_per_mille() == 0 => {
-                plan.arm_message_loss(rate_per_mille, at, at + LOSS_WINDOW);
-            }
-            Some(_) => panic!("one message fault plan per machine"),
-        }
-        self.transport_active = true;
+        self.activate_transport()
+            .plan
+            .arm_message_loss(rate_per_mille, at, at + LOSS_WINDOW);
     }
 
     /// Switches the machine onto the reliable-transport path from cycle 0
-    /// with an inert (zero-rate) fault plan, without changing behavior:
-    /// every packet is delivered, merely through the sequenced/acked path
-    /// an armed plan would use. A prefix run snapshotted for later
-    /// network-fault injection must run pre-activated so the fork point
-    /// inherits transport state (and the plan's send ordinal) identical to
-    /// a straight run's.
+    /// without changing behavior: every packet is delivered, merely
+    /// through the sequenced/acked path an armed plan would use. A prefix
+    /// run snapshotted for later network-fault injection must run
+    /// pre-activated so the fork point inherits transport state (and the
+    /// plan's send ordinal) identical to a straight run's.
     ///
     /// # Panics
     ///
-    /// Panics if a (non-inert) fault plan is already installed.
+    /// Panics if a message-loss plan is already armed.
     pub fn preactivate_transport(&mut self) {
-        if let Some(plan) = &self.net_plan {
-            assert!(plan.rate_per_mille() == 0, "a fault plan is already armed");
-        } else {
-            self.net_plan = Some(NetFaultPlan::new(derive_seed(
-                self.cfg.seed,
-                NET_PLAN_STREAM,
-            )));
-        }
-        self.transport_active = true;
+        let plan = &self.activate_transport().plan;
+        assert!(plan.rate_per_mille() == 0, "a fault plan is already armed");
+    }
+
+    /// The reliable transport, switched on first if the machine is still
+    /// on the fire-and-forget path. Every interconnect fault comes through
+    /// here; the first installs a zero-rate standby loss plan, and the
+    /// transport then stays on for the rest of the run.
+    fn activate_transport(&mut self) -> &mut Transport {
+        let (n, seed) = (
+            self.nodes.len(),
+            derive_seed(self.cfg.seed, NET_PLAN_STREAM),
+        );
+        self.transport
+            .get_or_insert_with(|| Transport::new(n, seed))
     }
 
     /// Installs the continuous MTBF/MTTR failure–repair process
@@ -498,7 +432,7 @@ impl Machine {
         }
         let links = if cfg.link_mtbf > 0 {
             assert!(self.cfg.bus.is_none(), "link faults need a mesh fabric");
-            self.transport_active = true;
+            self.activate_transport();
             mesh_links(self.nodes.len())
         } else {
             Vec::new()
@@ -540,9 +474,7 @@ impl Machine {
             let Some((at, ev)) = self.queue.pop() else {
                 return;
             };
-            if self.ts_every > 0 {
-                self.sample_timeseries_until(at);
-            }
+            self.sample_timeseries_until(at);
             self.dispatch(ev);
         }
     }
@@ -568,7 +500,8 @@ impl Machine {
         assert!(!self.finished, "machine already ran");
         self.advance(None);
         self.finished = true;
-        self.finalize_observability();
+        self.observer
+            .end_of_run(self.queue.now(), &mut self.metrics);
         self.metrics.total_cycles = self.queue.now();
         self.metrics.pages_allocated = self
             .live_nodes()
@@ -656,20 +589,20 @@ impl Machine {
     /// The retained protocol trace (empty unless
     /// [`MachineConfig::trace_capacity`] was set).
     pub fn trace(&self) -> Vec<TraceEvent> {
-        self.trace.events().cloned().collect()
+        self.observer.trace()
     }
 
     /// The retained causal span records, oldest first (empty unless
     /// [`MachineConfig::trace_capacity`] was set). Spans share the trace
     /// ring's capacity; the newest closes survive wraparound.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.records()
+        self.observer.spans()
     }
 
     /// The sampled time-series rows (empty unless
     /// [`MachineConfig::timeseries_every`] was set).
     pub fn timeseries(&self) -> &[TsSample] {
-        &self.ts_rows
+        self.observer.timeseries()
     }
 
     /// Per-link interconnect traffic breakdown (empty for bus fabrics).
@@ -793,189 +726,33 @@ impl Machine {
             .all(|&p| matches!(p, ProcState::Done | ProcState::Dead))
     }
 
-    /// Emits every due sample row up to (and including) simulation time
-    /// `t`. Pure observation: reads counters, schedules nothing.
+    /// Emits every due time-series row up to (and including) simulation
+    /// time `t`. Pure observation: reads counters, schedules nothing.
     fn sample_timeseries_until(&mut self, t: Cycles) {
-        while self.ts_next <= t {
-            let in_flight = self
+        let metrics = &self.metrics;
+        self.observer.sample_until(t, |down_since| TsSample {
+            cycle: 0,
+            refs: metrics.refs,
+            refs_delta: 0,
+            read_misses: metrics.read_misses,
+            write_misses: metrics.write_misses,
+            in_flight: (self
                 .proc
                 .iter()
                 .filter(|&&p| p == ProcState::Stalled)
                 .count()
-                + self.deliver_pending;
-            let nodes_down: Vec<u16> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, n)| !n.alive || self.down_since[*i].is_some())
-                .map(|(i, _)| i as u16)
-                .collect();
-            let row = TsSample {
-                cycle: self.ts_next,
-                refs: self.metrics.refs,
-                refs_delta: self.metrics.refs - self.ts_last_refs,
-                read_misses: self.metrics.read_misses,
-                write_misses: self.metrics.write_misses,
-                in_flight: in_flight as u64,
-                queue_depth: self.queue.len() as u64,
-                nodes_up: self.ring.alive_count() as u64,
-                nodes_down,
-                checkpoints: self.metrics.checkpoints,
-                failures: self.metrics.failures,
-                ckpt_stall_cycles: self
-                    .metrics
-                    .per_node
-                    .iter()
-                    .map(|n| n.ckpt_stall_cycles)
-                    .sum(),
-                rollback_cycles: self
-                    .metrics
-                    .per_node
-                    .iter()
-                    .map(|n| n.rollback_cycles)
-                    .sum(),
-            };
-            self.ts_last_refs = self.metrics.refs;
-            self.ts_rows.push(row);
-            self.ts_next += self.ts_every;
-            if self.ts_rows.len() >= MAX_TS_ROWS {
-                // Thin deterministically: keep every other row, double the
-                // stride. Long runs stay bounded without a config knob.
-                let mut idx = 0;
-                self.ts_rows.retain(|_| {
-                    idx += 1;
-                    idx % 2 == 1
-                });
-                self.ts_every *= 2;
-            }
-        }
-    }
-
-    /// Closes every still-open span and down interval at the end of the
-    /// run (or at a halt), so exported timelines never dangle.
-    fn finalize_observability(&mut self) {
-        let now = self.queue.now();
-        for i in 0..self.nodes.len() {
-            if let Some(from) = self.down_since[i].take() {
-                self.metrics.per_node[i].down_cycles += now - from;
-                self.metrics.down_intervals[i].push((from, now));
-            }
-        }
-        if let Some(start) = self.replay_start.take() {
-            // The window can open at a recovery end scheduled past the
-            // final event; a window that never opened has no duration to
-            // record (a zero would pollute the replay p50).
-            if now >= start {
-                self.metrics.phases.replay.record(now - start);
-            }
-        }
-        if self.spans.enabled() {
-            self.close_open_txn_spans(now);
-            let (parent, victim) = self
-                .open_recovery
-                .map(|(id, _, node)| (id, node))
-                .unwrap_or((0, 0));
-            if let Some((id, start)) = self.open_replay.take() {
-                self.spans.push(SpanRecord {
-                    id,
-                    parent,
-                    phase: SpanPhase::Replay,
-                    node: victim,
-                    start: start.min(now),
-                    end: now,
-                });
-            }
-            if let Some((id, start, node)) = self.open_recovery.take() {
-                self.spans.push(SpanRecord {
-                    id,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node,
-                    start,
-                    end: now,
-                });
-            }
-        }
-    }
-
-    /// Closes every open root Transaction span at `end` (normal closes
-    /// happen on resume; this handles rollback aborts and end-of-run).
-    fn close_open_txn_spans(&mut self, end: Cycles) {
-        for i in 0..self.open_txn.len() {
-            let id = std::mem::take(&mut self.open_txn[i]);
-            if id != 0 {
-                self.spans.push(SpanRecord {
-                    id,
-                    parent: 0,
-                    phase: SpanPhase::Transaction,
-                    node: i as u16,
-                    start: self.stall_start[i],
-                    end,
-                });
-            }
-        }
-    }
-
-    /// Attributes a delivered message to its transaction leg: records the
-    /// end-to-end latency in the always-on phase histogram and, when span
-    /// capture is enabled, emits a leg span parented to the requester's
-    /// open Transaction span.
-    fn record_leg(&mut self, to: NodeId, msg: &Msg, sent: Cycles) {
-        let Some(leg) = msg.txn_leg() else {
-            return;
-        };
-        let now = self.queue.now();
-        let dur = now - sent;
-        match leg {
-            TxnLeg::DirLookup => self.metrics.phases.dir_lookup.record(dur),
-            TxnLeg::HomeFwd => self.metrics.phases.home_fwd.record(dur),
-            TxnLeg::DataReply => self.metrics.phases.data_reply.record(dur),
-        }
-        if self.spans.enabled() {
-            let requester = msg.requester().map(NodeId::index).unwrap_or(to.index());
-            let parent = self.open_txn.get(requester).copied().unwrap_or(0);
-            if parent != 0 {
-                let phase = match leg {
-                    TxnLeg::DirLookup => SpanPhase::DirLookup,
-                    TxnLeg::HomeFwd => SpanPhase::HomeFwd,
-                    TxnLeg::DataReply => SpanPhase::DataReply,
-                };
-                let id = self.spans.alloc_id();
-                self.spans.push(SpanRecord {
-                    id,
-                    parent,
-                    phase,
-                    node: to.index() as u16,
-                    start: sent,
-                    end: now,
-                });
-            }
-        }
-    }
-
-    /// Emits NetHop spans for the hop segments of the send just issued on
-    /// the mesh, parented to the requester's open Transaction span.
-    fn record_hop_spans(&mut self, msg: &Msg, to: NodeId) {
-        if !self.spans.enabled() || msg.txn_leg().is_none() {
-            return;
-        }
-        let requester = msg.requester().map(NodeId::index).unwrap_or(to.index());
-        let parent = self.open_txn.get(requester).copied().unwrap_or(0);
-        if parent == 0 {
-            return;
-        }
-        let hops: Vec<ftcoma_net::HopSegment> = self.mesh.last_hops().to_vec();
-        for h in hops {
-            let id = self.spans.alloc_id();
-            self.spans.push(SpanRecord {
-                id,
-                parent,
-                phase: SpanPhase::NetHop,
-                node: to.index() as u16,
-                start: h.start,
-                end: h.end,
-            });
-        }
+                + self.deliver_pending) as u64,
+            queue_depth: self.queue.len() as u64,
+            nodes_up: self.ring.alive_count() as u64,
+            nodes_down: (0..self.nodes.len())
+                .filter(|&i| !self.nodes[i].alive || down_since[i].is_some())
+                .map(|i| i as u16)
+                .collect(),
+            checkpoints: metrics.checkpoints,
+            failures: metrics.failures,
+            ckpt_stall_cycles: metrics.per_node.iter().map(|n| n.ckpt_stall_cycles).sum(),
+            rollback_cycles: metrics.per_node.iter().map(|n| n.rollback_cycles).sum(),
+        });
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -988,22 +765,20 @@ impl Machine {
             Event::Repair { node } => self.on_repair_request(node),
             Event::NetDeliver { src, to, seq, msg } => self.on_net_deliver(src, to, seq, msg),
             Event::NetAck { src, dst, seq } => {
-                self.in_flight.remove(&(src, dst, seq));
+                if let Some(t) = &mut self.transport {
+                    t.in_flight.remove(&(src, dst, seq));
+                }
             }
             Event::NetRetry { src, dst, seq } => self.on_net_retry(src, dst, seq),
             Event::LinkCut { a, b } => {
-                self.trace.push(TraceEvent::LinkCut {
-                    at: self.queue.now(),
-                    a,
-                    b,
-                });
+                let at = self.queue.now();
+                self.observer.interconnect(TraceEvent::LinkCut { at, a, b });
                 self.mesh.fail_link(a, b);
             }
             Event::RouterDown { node } => {
-                self.trace.push(TraceEvent::RouterDown {
-                    at: self.queue.now(),
-                    node,
-                });
+                let at = self.queue.now();
+                self.observer
+                    .interconnect(TraceEvent::RouterDown { at, node });
                 self.mesh.fail_router(node);
             }
             Event::FaultTick => self.on_fault_tick(),
@@ -1164,10 +939,8 @@ impl Machine {
         let mut ctx = Ctx::new(&self.ring, self.queue.now());
         let outcome = self.engine.access(&mut self.nodes[i], req, &mut ctx);
         let (out, effects) = ctx.finish();
-        if self.spans.enabled() && matches!(outcome, AccessOutcome::Stalled) {
-            // Open the root Transaction span before the request messages
-            // leave, so their hop spans find their parent.
-            self.open_txn[i] = self.spans.alloc_id();
+        if matches!(outcome, AccessOutcome::Stalled) {
+            self.observer.stall(i, self.queue.now());
         }
         self.apply_outgoing(node, out);
         self.apply_effects(node, effects);
@@ -1201,16 +974,16 @@ impl Machine {
         if !self.nodes[to.index()].alive {
             return; // fail-silent node swallows the message
         }
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Delivery {
-                at: self.queue.now(),
-                to,
-                kind: msg.kind(),
-                item: msg.item(),
-            });
-        }
-        self.record_leg(to, &msg, sent);
-        let mut ctx = Ctx::new(&self.ring, self.queue.now());
+        self.deliver(to, msg, sent);
+    }
+
+    /// Hands a message sent at `sent` to the protocol engine of `to`: the
+    /// common tail of both send paths.
+    fn deliver(&mut self, to: NodeId, msg: Msg, sent: Cycles) {
+        let now = self.queue.now();
+        self.observer
+            .delivery(now, to, &msg, sent, &mut self.metrics);
+        let mut ctx = Ctx::new(&self.ring, now);
         self.engine
             .handle(&mut self.nodes[to.index()], msg, &mut ctx);
         let (out, effects) = ctx.finish();
@@ -1226,19 +999,7 @@ impl Machine {
         self.metrics
             .access_latency
             .record(self.queue.now() - self.stall_start[i]);
-        if self.spans.enabled() {
-            let id = std::mem::take(&mut self.open_txn[i]);
-            if id != 0 {
-                self.spans.push(SpanRecord {
-                    id,
-                    parent: 0,
-                    phase: SpanPhase::Transaction,
-                    node: i as u16,
-                    start: self.stall_start[i],
-                    end: self.queue.now(),
-                });
-            }
-        }
+        self.observer.resume(i, self.queue.now());
         if self.phase == Phase::Running {
             self.prepare_and_schedule(node, 0, true);
         } else {
@@ -1287,10 +1048,8 @@ impl Machine {
         }
         self.phase = Phase::Create;
         self.create_done = 0;
-        self.trace.push(TraceEvent::CheckpointBegun {
-            at: self.queue.now(),
-            gen: self.gen + 1,
-        });
+        self.observer
+            .checkpoint_begun(self.queue.now(), self.gen + 1);
         for i in 0..self.nodes.len() {
             if !self.nodes[i].alive {
                 continue;
@@ -1312,45 +1071,11 @@ impl Machine {
     fn do_commit(&mut self) {
         debug_assert_eq!(self.phase, Phase::Create);
         let commit_start = self.queue.now();
-        // A commit ends the replay window: lost work is re-covered by a
-        // durable recovery point from here on. The window can open at a
-        // recovery end scheduled past this event; such a not-yet-open
-        // window is discarded without a sample (a clamped zero would
-        // pollute the replay p50).
-        if let Some(start) = self.replay_start.take() {
-            if commit_start >= start {
-                self.metrics.phases.replay.record(commit_start - start);
-            }
-        }
-        if self.spans.enabled() {
-            if let Some((root, rstart, victim)) = self.open_recovery.take() {
-                if let Some((id, start)) = self.open_replay.take() {
-                    self.spans.push(SpanRecord {
-                        id,
-                        parent: root,
-                        phase: SpanPhase::Replay,
-                        node: victim,
-                        start: start.min(commit_start),
-                        end: commit_start,
-                    });
-                }
-                self.spans.push(SpanRecord {
-                    id: root,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node: victim,
-                    start: rstart,
-                    end: commit_start,
-                });
-            }
-        }
         self.metrics.t_create += commit_start - self.ckpt_start;
         self.gen += 1;
         self.metrics.checkpoints += 1;
-        self.trace.push(TraceEvent::CheckpointCommitted {
-            at: commit_start,
-            gen: self.gen,
-        });
+        self.observer
+            .checkpoint_committed(commit_start, self.gen, &mut self.metrics);
 
         let mut max_dur = 0;
         for i in 0..self.nodes.len() {
@@ -1359,13 +1084,8 @@ impl Machine {
             }
             let stats = ckpt::commit_node(&mut self.nodes[i], &self.cfg.ft, self.engine.timing());
             max_dur = max_dur.max(stats.duration);
-            if self.trace.enabled() {
-                self.trace.push(TraceEvent::NodeCommit {
-                    at: commit_start,
-                    node: self.nodes[i].id,
-                    dur: stats.duration,
-                });
-            }
+            self.observer
+                .node_commit(commit_start, self.nodes[i].id, stats.duration);
             if self.proc[i] == ProcState::Paused {
                 // This processor was stopped from the establishment start
                 // until its own commit scan finished.
@@ -1451,11 +1171,13 @@ impl Machine {
                 }
                 FaultAction::RepairNode(node) => self.on_repair_request(node),
                 FaultAction::CutLink(a, b) => {
-                    self.trace.push(TraceEvent::LinkCut { at: now, a, b });
+                    self.observer
+                        .interconnect(TraceEvent::LinkCut { at: now, a, b });
                     self.mesh.fail_link(a, b);
                 }
                 FaultAction::RepairLink(a, b) => {
-                    self.trace.push(TraceEvent::LinkRepaired { at: now, a, b });
+                    self.observer
+                        .interconnect(TraceEvent::LinkRepaired { at: now, a, b });
                     self.mesh.repair_link(a, b);
                 }
             }
@@ -1583,14 +1305,8 @@ impl Machine {
         }
         self.metrics.repairs += 1;
         self.metrics.per_node[i].repairs += 1;
-        if let Some(from) = self.down_since[i].take() {
-            self.metrics.per_node[i].down_cycles += self.queue.now() - from;
-            self.metrics.down_intervals[i].push((from, self.queue.now()));
-        }
-        self.trace.push(TraceEvent::Repaired {
-            at: self.queue.now(),
-            node,
-        });
+        self.observer
+            .repaired(self.queue.now(), node, &mut self.metrics);
 
         self.phase = Phase::Running;
         for k in 0..self.nodes.len() {
@@ -1632,72 +1348,14 @@ impl Machine {
         self.episode_faults += 1;
         self.metrics.recovery_max_depth = self.metrics.recovery_max_depth.max(self.episode_faults);
         self.recovery_start = self.queue.now();
-        self.trace.push(TraceEvent::Failure {
-            at: self.queue.now(),
+        let permanent = kind == FailureKind::Permanent;
+        self.observer.failure(
+            self.recovery_start,
             node,
-            permanent: kind == FailureKind::Permanent,
-        });
-        if was_recovering {
-            self.trace.push(TraceEvent::RecoveryRestarted {
-                at: self.queue.now(),
-                node,
-                depth: self.episode_faults,
-            });
-        }
-        // A failure inside a replay window ends that window early. The
-        // window can open in the *future* (a recovery end pushed past the
-        // failure event by the rollback scan); such a window never opened,
-        // so it is discarded without a sample (a clamped zero would
-        // pollute the replay p50).
-        if let Some(start) = self.replay_start.take() {
-            if self.recovery_start >= start {
-                self.metrics
-                    .phases
-                    .replay
-                    .record(self.recovery_start - start);
-            }
-        }
-        // Detection is immediate under the fail-stop model; the zero-width
-        // sample keeps the phase present in the decomposition.
-        self.metrics.phases.detection.record(0);
-        self.note_down(node);
-        if self.spans.enabled() {
-            let now = self.queue.now();
-            // In-flight transactions are about to be aborted by the purge.
-            self.close_open_txn_spans(now);
-            // Close a stale recovery tree (failure during a replay window).
-            if let Some((rid, rstart, victim)) = self.open_recovery.take() {
-                if let Some((id, start)) = self.open_replay.take() {
-                    self.spans.push(SpanRecord {
-                        id,
-                        parent: rid,
-                        phase: SpanPhase::Replay,
-                        node: victim,
-                        start: start.min(now),
-                        end: now,
-                    });
-                }
-                self.spans.push(SpanRecord {
-                    id: rid,
-                    parent: 0,
-                    phase: SpanPhase::Recovery,
-                    node: victim,
-                    start: rstart,
-                    end: now,
-                });
-            }
-            let root = self.spans.alloc_id();
-            self.open_recovery = Some((root, now, node.index() as u16));
-            let det = self.spans.alloc_id();
-            self.spans.push(SpanRecord {
-                id: det,
-                parent: root,
-                phase: SpanPhase::Detection,
-                node: node.index() as u16,
-                start: now,
-                end: now,
-            });
-        }
+            permanent,
+            was_recovering.then_some(self.episode_faults),
+            &mut self.metrics,
+        );
 
         // 1. Every in-flight message and scheduled processor issue is moot
         //    (scheduled interconnect faults survive: the mesh keeps its own
@@ -1723,12 +1381,8 @@ impl Machine {
             self.queue.schedule_in(10_000, Event::Repair { node: r });
         }
         self.deliver_pending = 0;
-        self.in_flight.clear();
-        for s in &mut self.seqs {
-            s.clear();
-        }
-        for d in &mut self.dedup {
-            d.clear();
+        if let Some(t) = &mut self.transport {
+            t.reset();
         }
         for i in 0..self.nodes.len() {
             self.epochs[i] += 1;
@@ -1738,7 +1392,6 @@ impl Machine {
         // 2. The failed node. A permanent loss takes its mesh router down
         //    with it, so subsequent traffic detours around the dead node
         //    instead of flowing through a ghost router.
-        let permanent = kind == FailureKind::Permanent;
         if permanent {
             self.mesh.fail_node(node);
             self.ring.mark_dead(node);
@@ -1761,26 +1414,8 @@ impl Machine {
             let id = self.nodes[i].id;
             self.metrics.per_node[i].rollback_cycles += stats.duration;
             self.metrics.phases.rollback.record(stats.duration);
-            if self.trace.enabled() {
-                self.trace.push(TraceEvent::NodeRollback {
-                    at: self.recovery_start,
-                    node: id,
-                    dur: stats.duration,
-                });
-            }
-            if self.spans.enabled() {
-                if let Some((root, _, _)) = self.open_recovery {
-                    let sid = self.spans.alloc_id();
-                    self.spans.push(SpanRecord {
-                        id: sid,
-                        parent: root,
-                        phase: SpanPhase::Rollback,
-                        node: i as u16,
-                        start: self.recovery_start,
-                        end: self.recovery_start + stats.duration,
-                    });
-                }
-            }
+            self.observer
+                .rollback_scan(self.recovery_start, id, stats.duration);
             self.engine.reset_node(id);
             if self.proc[i] != ProcState::Dead {
                 self.proc[i] = ProcState::Paused;
@@ -1873,15 +1508,6 @@ impl Machine {
         }
     }
 
-    /// Opens a down interval for `node` (availability accounting).
-    fn note_down(&mut self, node: NodeId) {
-        let i = node.index();
-        self.metrics.per_node[i].down_count += 1;
-        if self.down_since[i].is_none() {
-            self.down_since[i] = Some(self.queue.now());
-        }
-    }
-
     fn finish_recovery(&mut self) {
         debug_assert_eq!(self.phase, Phase::Recovering);
         let end = self.queue.now().max(self.recovery_scan_end);
@@ -1903,33 +1529,15 @@ impl Machine {
         // covers every fault folded into it.
         self.metrics.faults_survived += self.episode_faults;
         self.episode_faults = 0;
-        self.trace.push(TraceEvent::Recovered { at: end });
         // Surviving (transient) victims come back up when the machine
         // resumes; permanently failed nodes stay down until repair.
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].alive {
-                if let Some(from) = self.down_since[i].take() {
-                    self.metrics.per_node[i].down_cycles += end - from;
-                    self.metrics.down_intervals[i].push((from, end));
-                }
-            }
-        }
-        self.replay_start = Some(end);
-        if self.spans.enabled() {
-            if let Some((root, _, victim)) = self.open_recovery {
-                let id = self.spans.alloc_id();
-                self.spans.push(SpanRecord {
-                    id,
-                    parent: root,
-                    phase: SpanPhase::Reconfiguration,
-                    node: victim,
-                    start: self.recovery_start,
-                    end,
-                });
-                let rid = self.spans.alloc_id();
-                self.open_replay = Some((rid, end));
-            }
-        }
+        let nodes = &self.nodes;
+        self.observer.recovered(
+            self.recovery_start,
+            end,
+            |i| nodes[i].alive,
+            &mut self.metrics,
+        );
         self.phase = Phase::Running;
         let delay = end - self.queue.now();
         for i in 0..self.nodes.len() {
@@ -1970,20 +1578,28 @@ impl Machine {
     fn apply_outgoing(&mut self, from: NodeId, out: Vec<ftcoma_protocol::msg::Outgoing>) {
         for o in out {
             let depart = self.queue.now() + o.delay;
-            if !self.transport_active || o.to == from {
-                // Fire-and-forget: either no interconnect faults are in
-                // play, or the message never leaves the node (node-local
-                // deliveries need no end-to-end framing). A send can only
-                // fail once a mesh fault has removed the route, in which
-                // case the destination must already be a dead node whose
-                // router died with it; the dead node would have swallowed
-                // the message anyway.
-                match self
+            match &mut self.transport {
+                // Reliable transport: sequence the packet, remember it
+                // until acked, and let the retry timer repair whatever the
+                // network does to it. `deliver_pending` counts logical
+                // messages, so it rises exactly once here no matter how
+                // many copies fly. Node-local deliveries never leave the
+                // node and need no end-to-end framing.
+                Some(t) if o.to != from => {
+                    let seq = t.open(from, o.to, o.msg, depart);
+                    self.deliver_pending += 1;
+                    self.transmit(depart, from, o.to, seq);
+                }
+                // Fire-and-forget. A send can only fail once a mesh fault
+                // has removed the route, in which case the destination
+                // must already be a dead node whose router died with it;
+                // the dead node would have swallowed the message anyway.
+                _ => match self
                     .mesh
                     .send(depart, from, o.to, o.msg.class(), o.msg.payload_bytes())
                 {
                     Ok(arrival) => {
-                        self.record_hop_spans(&o.msg, o.to);
+                        self.observer.hops(&o.msg, o.to, self.mesh.last_hops());
                         self.queue.schedule(
                             arrival,
                             Event::Deliver {
@@ -2002,71 +1618,47 @@ impl Machine {
                         );
                         self.metrics.net_dropped_msgs += 1;
                     }
-                }
-                continue;
-            }
-            // Reliable transport: sequence the packet, remember it until
-            // acked, and let the retry timer repair whatever the network
-            // does to it. `deliver_pending` counts logical messages, so it
-            // rises exactly once here no matter how many copies fly.
-            let seq = self.seqs[from.index()].next(o.to);
-            self.deliver_pending += 1;
-            self.in_flight.insert(
-                (from, o.to, seq),
-                InFlight {
-                    msg: o.msg,
-                    attempts: 0,
-                    sent: depart,
                 },
-            );
-            self.transmit(depart, from, o.to, seq);
+            }
         }
     }
 
     /// Sends one physical copy of in-flight packet `(src, dst, seq)` and
-    /// arms its retransmission timer. The fault plan may drop, duplicate
-    /// or delay the copy; an unroutable destination counts as a drop (the
-    /// retry timer escalates if the route never comes back).
+    /// arms its retransmission timer. The loss plan may drop the copy; an
+    /// unroutable destination counts as a drop too (the retry timer
+    /// escalates if the route never comes back).
     fn transmit(&mut self, depart: Cycles, src: NodeId, dst: NodeId, seq: u64) {
-        let entry = &self.in_flight[&(src, dst, seq)];
+        let t = self
+            .transport
+            .as_mut()
+            .expect("only the reliable path transmits");
+        let entry = &t.in_flight[&(src, dst, seq)];
         let attempt = entry.attempts;
         let (class, bytes) = (entry.msg.class(), entry.msg.payload_bytes());
-        let (mut copies, mut extra_delay) = (1, 0);
-        if let Some(plan) = &mut self.net_plan {
-            match plan.decide(depart) {
-                FaultDecision::Deliver => {}
-                FaultDecision::Drop => copies = 0,
-                FaultDecision::Duplicate => copies = 2,
-                FaultDecision::Delay(d) => extra_delay = d,
-            }
-        }
-        if copies == 0 {
-            self.metrics.net_dropped_msgs += 1;
-        }
-        for _ in 0..copies {
-            match self.mesh.send(depart, src, dst, class, bytes) {
-                Ok(arrival) => {
-                    // Clone only per physical copy scheduled (the stored
-                    // packet must stay in `in_flight` for retransmission).
-                    let msg = self.in_flight[&(src, dst, seq)].msg.clone();
-                    if attempt == 0 {
-                        self.record_hop_spans(&msg, dst);
-                    }
-                    self.queue.schedule(
-                        arrival + extra_delay,
-                        Event::NetDeliver {
-                            src,
-                            to: dst,
-                            seq,
-                            msg,
-                        },
-                    );
+        let arrival = if t.plan.decide(depart) {
+            None
+        } else {
+            self.mesh.send(depart, src, dst, class, bytes).ok()
+        };
+        match arrival {
+            Some(arrival) => {
+                // Clone the copy scheduled: the stored packet must stay in
+                // flight for retransmission.
+                let msg = entry.msg.clone();
+                if attempt == 0 {
+                    self.observer.hops(&msg, dst, self.mesh.last_hops());
                 }
-                Err(_) => {
-                    self.metrics.net_dropped_msgs += 1;
-                    break;
-                }
+                self.queue.schedule(
+                    arrival,
+                    Event::NetDeliver {
+                        src,
+                        to: dst,
+                        seq,
+                        msg,
+                    },
+                );
             }
+            None => self.metrics.net_dropped_msgs += 1,
         }
         self.queue.schedule(
             depart + self.cfg.retry.backoff(attempt),
@@ -2083,67 +1675,46 @@ impl Machine {
         // Ack every copy: the sender keeps retransmitting until an ack
         // survives the network, so duplicates must re-ack too.
         self.send_ack(to, src, seq);
-        if !self.dedup[to.index()].first_delivery(src, seq) {
+        let t = self
+            .transport
+            .as_mut()
+            .expect("only the reliable path delivers");
+        if !t.first_delivery(to, src, seq) {
             return; // duplicate suppressed
         }
-        self.deliver_pending -= 1;
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Delivery {
-                at: self.queue.now(),
-                to,
-                kind: msg.kind(),
-                item: msg.item(),
-            });
-        }
-        let sent = self
+        let sent = t
             .in_flight
             .get(&(src, to, seq))
-            .map(|e| e.sent)
-            .unwrap_or_else(|| self.queue.now());
-        self.record_leg(to, &msg, sent);
-        let mut ctx = Ctx::new(&self.ring, self.queue.now());
-        self.engine
-            .handle(&mut self.nodes[to.index()], msg, &mut ctx);
-        let (out, effects) = ctx.finish();
-        self.apply_outgoing(to, out);
-        self.apply_effects(to, effects);
+            .map_or(self.queue.now(), |e| e.sent);
+        self.deliver_pending -= 1;
+        self.deliver(to, msg, sent);
     }
 
     /// Sends a transport ack from `from` back to `to` for `(to, from, seq)`.
-    /// Acks are header-only reply-class packets, subject to the fault plan
+    /// Acks are header-only reply-class packets, subject to the loss plan
     /// but never retried themselves: a lost ack is repaired by the data
     /// packet's retransmission, which triggers a fresh ack.
     fn send_ack(&mut self, from: NodeId, to: NodeId, seq: u64) {
         let now = self.queue.now();
-        let (mut copies, mut extra_delay) = (1, 0);
-        if let Some(plan) = &mut self.net_plan {
-            match plan.decide(now) {
-                FaultDecision::Deliver => {}
-                FaultDecision::Drop => copies = 0,
-                FaultDecision::Duplicate => copies = 2,
-                FaultDecision::Delay(d) => extra_delay = d,
-            }
-        }
-        if copies == 0 {
-            self.metrics.net_dropped_msgs += 1;
-        }
-        for _ in 0..copies {
-            match self.mesh.send(now, from, to, NetClass::Reply, 0) {
-                Ok(arrival) => {
-                    self.queue.schedule(
-                        arrival + extra_delay,
-                        Event::NetAck {
-                            src: to,
-                            dst: from,
-                            seq,
-                        },
-                    );
-                }
-                Err(_) => {
-                    self.metrics.net_dropped_msgs += 1;
-                    break;
-                }
-            }
+        let t = self
+            .transport
+            .as_mut()
+            .expect("only the reliable path acks");
+        let arrival = if t.plan.decide(now) {
+            None
+        } else {
+            self.mesh.send(now, from, to, NetClass::Reply, 0).ok()
+        };
+        match arrival {
+            Some(arrival) => self.queue.schedule(
+                arrival,
+                Event::NetAck {
+                    src: to,
+                    dst: from,
+                    seq,
+                },
+            ),
+            None => self.metrics.net_dropped_msgs += 1,
         }
     }
 
@@ -2151,12 +1722,15 @@ impl Machine {
     /// already arrived this is a no-op; otherwise retransmit with doubled
     /// timeout, or escalate once the retry budget is spent.
     fn on_net_retry(&mut self, src: NodeId, dst: NodeId, seq: u64) {
-        let Some(entry) = self.in_flight.get_mut(&(src, dst, seq)) else {
+        let Some(t) = &mut self.transport else {
+            return;
+        };
+        let Some(entry) = t.in_flight.get_mut(&(src, dst, seq)) else {
             return; // acked in time
         };
         self.metrics.net_timeouts += 1;
         if entry.attempts >= self.cfg.retry.max_retries {
-            self.in_flight.remove(&(src, dst, seq));
+            t.in_flight.remove(&(src, dst, seq));
             self.escalate(src, dst);
             return;
         }
@@ -2488,7 +2062,7 @@ mod tests {
         });
         m.run();
         assert!(
-            m.timeseries().len() < super::MAX_TS_ROWS,
+            m.timeseries().len() < crate::observer::MAX_TS_ROWS,
             "thinning must hold the row count under the cap"
         );
         let rows = m.timeseries();
@@ -2608,16 +2182,17 @@ mod tests {
         let mut m = Machine::new(small_ecp_config());
         m.run();
         let before = m.metrics().phases.replay.count();
-        m.replay_start = Some(m.queue.now() + 10_000);
-        m.finalize_observability();
+        let now = m.queue.now();
+        m.observer.replay_start = Some(now + 10_000);
+        m.observer.end_of_run(now, &mut m.metrics);
         assert_eq!(
             m.metrics().phases.replay.count(),
             before,
             "a window that never opened must not record a zero-length sample"
         );
         // A window that did open still records normally.
-        m.replay_start = Some(m.queue.now().saturating_sub(50));
-        m.finalize_observability();
+        m.observer.replay_start = Some(now.saturating_sub(50));
+        m.observer.end_of_run(now, &mut m.metrics);
         assert_eq!(m.metrics().phases.replay.count(), before + 1);
     }
 
@@ -2631,11 +2206,11 @@ mod tests {
         let mut m = Machine::new(small_ecp_config());
         m.schedule_failure(20_000, NodeId::new(2), FailureKind::Transient);
         m.run_until(20_001); // process the failure event
-        while m.replay_start.is_none() {
+        while m.observer.replay_start.is_none() {
             let t = m.queue.peek_time().expect("recovery still in flight");
             m.run_until(t + 1);
         }
-        let window_opens = m.replay_start.expect("just observed");
+        let window_opens = m.observer.replay_start.expect("just observed");
         let now = m.queue.now();
         assert!(
             window_opens > now,

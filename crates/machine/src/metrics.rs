@@ -465,17 +465,6 @@ impl RunMetrics {
         }
     }
 
-    /// Per-node average of `events` per 10 000 *machine-wide* references:
-    /// the machine-wide rate divided by the node count, i.e. each node's
-    /// share of the event rate.
-    pub fn per_node_per_10k_refs(&self, events: u64) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.per_10k_refs(events) / self.nodes as f64
-        }
-    }
-
     /// Read miss rate (misses / loads).
     pub fn read_miss_rate(&self) -> f64 {
         if self.reads == 0 {
@@ -553,10 +542,13 @@ mod tests {
             injections_on_read: 2,
             injections_write_inv_ck: 3,
             injections_write_shared_ck: 4,
+            refs: 20_000,
             ..Default::default()
         };
         assert_eq!(m.injections_on_write(), 7);
         assert_eq!(m.injections_total(), 10);
+        // 10 injections over 20k references = 5 per 10k references.
+        assert!((m.per_10k_refs(m.injections_total()) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -571,20 +563,6 @@ mod tests {
         assert!((m.replication_throughput_bps(20e6) - 20_000_000.0).abs() < 1.0);
         assert!((m.aggregate_replication_throughput_bps(20e6) - 40_000_000.0).abs() < 1.0);
         assert!((m.effective_replication_throughput_bps(20e6) - 40_000_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn per_node_rate_divides_by_nodes() {
-        let m = RunMetrics {
-            refs: 10_000,
-            nodes: 4,
-            ..Default::default()
-        };
-        // 8 events over 10k machine-wide refs = 8 per 10k refs, 2 per node.
-        assert!((m.per_10k_refs(8) - 8.0).abs() < 1e-12);
-        assert!((m.per_node_per_10k_refs(8) - 2.0).abs() < 1e-12);
-        let empty = RunMetrics::default();
-        assert_eq!(empty.per_node_per_10k_refs(8), 0.0);
     }
 
     #[test]

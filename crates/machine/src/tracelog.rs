@@ -262,16 +262,6 @@ impl TraceLog {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +280,6 @@ mod tests {
         }
         let times: Vec<_> = log.events().map(TraceEvent::at).collect();
         assert_eq!(times, vec![2, 3, 4]);
-        assert_eq!(log.len(), 3);
     }
 
     #[test]
@@ -301,11 +290,10 @@ mod tests {
         for t in 0..cap as Cycles {
             log.push(ev(t));
         }
-        assert_eq!(log.len(), cap);
+        assert_eq!(log.events().count(), cap);
         assert_eq!(log.events().next().map(TraceEvent::at), Some(0));
         // The (cap+1)-th push evicts exactly the oldest event.
         log.push(ev(cap as Cycles));
-        assert_eq!(log.len(), cap);
         let times: Vec<_> = log.events().map(TraceEvent::at).collect();
         assert_eq!(times, vec![1, 2, 3, 4]);
     }
@@ -314,7 +302,7 @@ mod tests {
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::new(0);
         log.push(ev(1));
-        assert!(log.is_empty());
+        assert_eq!(log.events().count(), 0);
         assert!(!log.enabled());
     }
 

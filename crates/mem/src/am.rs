@@ -190,7 +190,6 @@ pub struct AttractionMemory {
     tick: u64,
     allocated: usize,
     peak_allocated: usize,
-    cumulative_allocs: u64,
 }
 
 impl AttractionMemory {
@@ -218,7 +217,6 @@ impl AttractionMemory {
             tick: 0,
             allocated: 0,
             peak_allocated: 0,
-            cumulative_allocs: 0,
         }
     }
 
@@ -265,11 +263,6 @@ impl AttractionMemory {
         self.peak_allocated
     }
 
-    /// Total page allocations performed over the AM's lifetime.
-    pub fn cumulative_page_allocs(&self) -> u64 {
-        self.cumulative_allocs
-    }
-
     /// Allocates `page` (with all slots `Invalid`).
     ///
     /// Returns `Ok(false)` if the page was already allocated, `Ok(true)` on
@@ -294,7 +287,6 @@ impl AttractionMemory {
                 }
                 self.index[idx] = way as u32 + 1;
                 self.allocated += 1;
-                self.cumulative_allocs += 1;
                 self.peak_allocated = self.peak_allocated.max(self.allocated);
                 Ok(true)
             }
@@ -662,16 +654,5 @@ mod tests {
         // After the eviction-and-retry dance, LRU order is page 0 < page 4.
         let next = am.allocate_page(PageId::new(6)).unwrap_err();
         assert_eq!(next.victim, PageId::new(0));
-    }
-
-    #[test]
-    fn cumulative_allocs_count_reallocation() {
-        let mut am = AttractionMemory::new(tiny_geo());
-        let page = PageId::new(0);
-        am.allocate_page(page).unwrap();
-        am.evict_page(page);
-        am.allocate_page(page).unwrap();
-        assert_eq!(am.cumulative_page_allocs(), 2);
-        assert_eq!(am.allocated_pages(), 1);
     }
 }

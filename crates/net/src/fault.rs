@@ -1,141 +1,65 @@
 //! Deterministic per-message network fault plans.
 //!
 //! A [`NetFaultPlan`] decides, message by message, whether the network
-//! delivers, drops, duplicates or delays a packet. Decisions are a pure
-//! function of the plan's seed and the *ordinal* of the message (its
-//! position in the send sequence), not of simulated time or of any shared
-//! generator state — so a faulted run replays byte-identically at any job
-//! count, and two clones of a plan produce identical decision streams.
+//! delivers or drops a packet. Decisions are a pure function of the plan's
+//! seed and the *ordinal* of the message (its position in the send
+//! sequence), not of simulated time or of any shared generator state — so
+//! a faulted run replays byte-identically at any job count, and two clones
+//! of a plan produce identical decision streams.
 
 use ftcoma_sim::{derive_seed, Cycles};
 
-/// Stream constant separating delay-amount draws from the drop/dup/delay
-/// classification draw of the same message ordinal.
-const DELAY_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// What the fault plan decided for one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDecision {
-    /// The packet is delivered normally.
-    Deliver,
-    /// The packet vanishes in the network.
-    Drop,
-    /// The packet is delivered twice (a spurious retransmission).
-    Duplicate,
-    /// The packet is delivered late by the given number of cycles.
-    Delay(Cycles),
-}
-
-/// A seeded plan that drops, duplicates or delays individual messages
-/// deterministically.
+/// A seeded plan that drops individual messages deterministically.
 ///
-/// Rates are integer per-mille (so the plan stays `Eq` and replayable);
-/// they are applied in the fixed order drop, duplicate, delay against a
-/// single per-message roll. An optional `[start, end)` cycle window limits
-/// the plan to a burst: outside it every packet is delivered (the ordinal
-/// still advances, keeping decisions independent of when the window
-/// opens).
+/// A new plan drops nothing; [`NetFaultPlan::arm_message_loss`] gives it
+/// a rate in integer per-mille (so the plan stays `Eq` and replayable),
+/// applied against one roll per message, and a `[start, end)` cycle
+/// window that limits it to a burst: outside the window every packet is
+/// delivered (the ordinal still advances, keeping decisions independent
+/// of when the window opens).
 ///
 /// # Example
 ///
 /// ```
-/// use ftcoma_net::{FaultDecision, NetFaultPlan};
+/// use ftcoma_net::NetFaultPlan;
 ///
-/// let mut plan = NetFaultPlan::message_loss(7, 1000); // drop everything
-/// assert_eq!(plan.decide(0), FaultDecision::Drop);
-/// let mut windowed = NetFaultPlan::message_loss(7, 1000).with_window(100, 200);
-/// assert_eq!(windowed.decide(0), FaultDecision::Deliver); // before the burst
-/// assert_eq!(windowed.decide(150), FaultDecision::Drop); // inside it
+/// let mut plan = NetFaultPlan::new(7);
+/// assert!(!plan.decide(0)); // a new plan delivers everything
+/// plan.arm_message_loss(1000, 100, 200); // drop everything in [100, 200)
+/// assert!(!plan.decide(50)); // before the burst
+/// assert!(plan.decide(150)); // inside it
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetFaultPlan {
     seed: u64,
     drop_per_mille: u32,
-    dup_per_mille: u32,
-    delay_per_mille: u32,
-    max_delay: Cycles,
     window: Option<(Cycles, Cycles)>,
     sent: u64,
 }
 
 impl NetFaultPlan {
-    /// A plan that delivers everything (rates default to zero).
+    /// A zero-rate plan: it delivers everything until armed.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             drop_per_mille: 0,
-            dup_per_mille: 0,
-            delay_per_mille: 0,
-            max_delay: 0,
             window: None,
             sent: 0,
         }
     }
 
-    /// A plan dropping `per_mille`/1000 of all packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_mille > 1000`.
-    pub fn message_loss(seed: u64, per_mille: u32) -> Self {
-        assert!(per_mille <= 1000, "rate is per-mille");
-        Self {
-            drop_per_mille: per_mille,
-            ..Self::new(seed)
-        }
-    }
-
-    /// A plan duplicating `per_mille`/1000 of all packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_mille > 1000`.
-    pub fn duplication(seed: u64, per_mille: u32) -> Self {
-        assert!(per_mille <= 1000, "rate is per-mille");
-        Self {
-            dup_per_mille: per_mille,
-            ..Self::new(seed)
-        }
-    }
-
-    /// A plan delaying `per_mille`/1000 of all packets by 1..=`max_delay`
-    /// extra cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_mille > 1000` or `max_delay == 0`.
-    pub fn delays(seed: u64, per_mille: u32, max_delay: Cycles) -> Self {
-        assert!(per_mille <= 1000, "rate is per-mille");
-        assert!(max_delay > 0, "delay plans need a positive max_delay");
-        Self {
-            delay_per_mille: per_mille,
-            max_delay,
-            ..Self::new(seed)
-        }
-    }
-
-    /// Restricts the plan to the cycle window `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    pub fn with_window(mut self, start: Cycles, end: Cycles) -> Self {
-        assert!(start < end, "fault window must be non-empty");
-        self.window = Some((start, end));
-        self
-    }
-
-    /// Combined fault rate in per-mille (0 = the plan never misbehaves).
+    /// Loss rate in per-mille (0 = the plan never drops).
     pub fn rate_per_mille(&self) -> u32 {
-        self.drop_per_mille + self.dup_per_mille + self.delay_per_mille
+        self.drop_per_mille
     }
 
-    /// Arms an inert (zero-rate) plan as a windowed message-loss episode
-    /// *in place*, keeping its seed and send ordinal. A plan that stood by
-    /// delivering everything during a shared run prefix then rolls exactly
-    /// the dice a freshly-built `message_loss(seed, ..)` plan would have
-    /// rolled for the same send sequence — the key to forking a
-    /// network-fault case from a snapshot byte-identically.
+    /// Arms an inert (zero-rate) plan as a message-loss episode dropping
+    /// `per_mille`/1000 of the packets sent in `[start, end)`, *in place*,
+    /// keeping its seed and send ordinal. A plan that stood by delivering
+    /// everything during a shared run prefix before `start` then rolls
+    /// exactly the dice a plan armed before the prefix would have rolled
+    /// for the same send sequence — the key to forking a network-fault
+    /// case from a snapshot byte-identically.
     ///
     /// # Panics
     ///
@@ -149,25 +73,17 @@ impl NetFaultPlan {
         self.window = Some((start, end));
     }
 
-    /// Decides the fate of the next packet, sent at time `now`.
-    pub fn decide(&mut self, now: Cycles) -> FaultDecision {
+    /// Decides the fate of the next packet, sent at time `now`: `true`
+    /// drops it, `false` delivers it. Only an armed plan inside its window
+    /// rolls the dice.
+    pub fn decide(&mut self, now: Cycles) -> bool {
         let ordinal = self.sent;
         self.sent += 1;
-        if let Some((start, end)) = self.window {
-            if now < start || now >= end {
-                return FaultDecision::Deliver;
+        match self.window {
+            Some((start, end)) if (start..end).contains(&now) => {
+                ((derive_seed(self.seed, ordinal) % 1000) as u32) < self.drop_per_mille
             }
-        }
-        let roll = (derive_seed(self.seed, ordinal) % 1000) as u32;
-        if roll < self.drop_per_mille {
-            FaultDecision::Drop
-        } else if roll < self.drop_per_mille + self.dup_per_mille {
-            FaultDecision::Duplicate
-        } else if roll < self.drop_per_mille + self.dup_per_mille + self.delay_per_mille {
-            let span = self.max_delay.max(1);
-            FaultDecision::Delay(1 + derive_seed(self.seed, ordinal ^ DELAY_STREAM) % span)
-        } else {
-            FaultDecision::Deliver
+            _ => false,
         }
     }
 }
@@ -176,9 +92,15 @@ impl NetFaultPlan {
 mod tests {
     use super::*;
 
+    fn armed(seed: u64, per_mille: u32, start: Cycles, end: Cycles) -> NetFaultPlan {
+        let mut plan = NetFaultPlan::new(seed);
+        plan.arm_message_loss(per_mille, start, end);
+        plan
+    }
+
     #[test]
     fn clones_produce_identical_decision_streams() {
-        let mut a = NetFaultPlan::message_loss(0xDEAD, 300).with_window(0, 1_000_000);
+        let mut a = armed(0xDEAD, 300, 0, 1_000_000);
         let mut b = a.clone();
         for t in 0..500 {
             assert_eq!(a.decide(t), b.decide(t));
@@ -187,10 +109,8 @@ mod tests {
 
     #[test]
     fn loss_rate_is_roughly_honoured() {
-        let mut plan = NetFaultPlan::message_loss(42, 500);
-        let drops = (0..2000)
-            .filter(|&t| plan.decide(t) == FaultDecision::Drop)
-            .count();
+        let mut plan = armed(42, 500, 0, Cycles::MAX);
+        let drops = (0..2000).filter(|&t| plan.decide(t)).count();
         assert!(
             (800..1200).contains(&drops),
             "expected ~1000 drops at 500 per-mille, got {drops}"
@@ -199,48 +119,34 @@ mod tests {
 
     #[test]
     fn window_gates_the_burst_without_desyncing_ordinals() {
-        let mut windowed = NetFaultPlan::message_loss(9, 1000).with_window(100, 200);
-        assert_eq!(windowed.decide(99), FaultDecision::Deliver);
-        assert_eq!(windowed.decide(100), FaultDecision::Drop);
-        assert_eq!(windowed.decide(199), FaultDecision::Drop);
-        assert_eq!(windowed.decide(200), FaultDecision::Deliver);
-        // Ordinals advance outside the window too: the third in-window
-        // decision equals the third decision of an unwindowed clone.
-        let mut gated = NetFaultPlan::message_loss(11, 500).with_window(0, u64::MAX);
-        let mut free = NetFaultPlan::message_loss(11, 500);
+        let mut windowed = armed(9, 1000, 100, 200);
+        assert!(!windowed.decide(99));
+        assert!(windowed.decide(100));
+        assert!(windowed.decide(199));
+        assert!(!windowed.decide(200));
+        // Ordinals advance outside the window too: once the window opens,
+        // a gated plan decides like an always-open one at the same ordinal.
+        let mut gated = armed(11, 500, 32, Cycles::MAX);
+        let mut open = armed(11, 500, 0, Cycles::MAX);
         for t in 0..64 {
-            assert_eq!(gated.decide(t), free.decide(t));
+            let (g, o) = (gated.decide(t), open.decide(t));
+            assert_eq!(g, t >= 32 && o);
         }
-    }
-
-    #[test]
-    fn duplicates_and_delays_occur_at_their_rates() {
-        let mut plan = NetFaultPlan::duplication(3, 400);
-        assert!((0..200).any(|t| plan.decide(t) == FaultDecision::Duplicate));
-        let mut plan = NetFaultPlan::delays(3, 400, 50);
-        let mut seen_delay = false;
-        for t in 0..200 {
-            if let FaultDecision::Delay(d) = plan.decide(t) {
-                assert!((1..=50).contains(&d));
-                seen_delay = true;
-            }
-        }
-        assert!(seen_delay);
     }
 
     #[test]
     fn arming_a_standby_plan_matches_a_fresh_plan_with_shifted_ordinals() {
         // A standby plan burns 100 ordinals delivering, then arms. From
-        // that point it must decide exactly like a fresh message_loss plan
+        // that point it must decide exactly like a plan armed up front
         // whose ordinal counter was advanced by the same 100 sends.
         let mut standby = NetFaultPlan::new(77);
         for t in 0..100 {
-            assert_eq!(standby.decide(t), FaultDecision::Deliver);
+            assert!(!standby.decide(t));
         }
         standby.arm_message_loss(500, 100, 10_000);
-        let mut fresh = NetFaultPlan::message_loss(77, 500).with_window(100, 10_000);
+        let mut fresh = armed(77, 500, 100, 10_000);
         for t in 0..100 {
-            fresh.decide(t); // advance ordinals through the prefix
+            assert!(!fresh.decide(t)); // the prefix lies before the window
         }
         for t in 100..1_000 {
             assert_eq!(standby.decide(t), fresh.decide(t));
@@ -260,7 +166,7 @@ mod tests {
         let mut plan = NetFaultPlan::new(1);
         assert_eq!(plan.rate_per_mille(), 0);
         for t in 0..100 {
-            assert_eq!(plan.decide(t), FaultDecision::Deliver);
+            assert!(!plan.decide(t));
         }
     }
 }

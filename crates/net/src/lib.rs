@@ -25,8 +25,8 @@
 //! The mesh is also a fault domain (see docs/NETWORK.md): links and routers
 //! can fail at runtime, routing detours around the damage, unreachable
 //! destinations surface as [`mesh::RouteError`], and a seeded
-//! [`fault::NetFaultPlan`] deterministically drops, duplicates or delays
-//! individual messages for the transport layer above to absorb.
+//! [`fault::NetFaultPlan`] deterministically drops individual messages
+//! for the transport layer above to absorb.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +39,7 @@ pub mod ring;
 
 pub use bus::{Bus, BusConfig};
 pub use fabric::{Fabric, FabricConfig};
-pub use fault::{FaultDecision, NetFaultPlan};
+pub use fault::NetFaultPlan;
 pub use mesh::{
     HopSegment, LinkReport, LinkStats, Mesh, MeshGeometry, NetClass, NetConfig, NetStats,
     RouteError, SwitchingModel,

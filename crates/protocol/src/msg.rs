@@ -38,19 +38,6 @@ impl InjectCause {
             InjectCause::CkptReplication | InjectCause::Reconfiguration
         )
     }
-
-    /// Was the injection triggered by a processor read access?
-    pub fn on_read(self) -> bool {
-        matches!(self, InjectCause::ReadOnInvCk)
-    }
-
-    /// Was the injection triggered by a processor write access?
-    pub fn on_write(self) -> bool {
-        matches!(
-            self,
-            InjectCause::WriteOnInvCk | InjectCause::WriteOnSharedCk
-        )
-    }
 }
 
 /// Payload of an item travelling between AMs.
@@ -603,9 +590,5 @@ mod tests {
     fn inject_cause_classification() {
         assert!(InjectCause::Replacement.is_move());
         assert!(!InjectCause::CkptReplication.is_move());
-        assert!(InjectCause::ReadOnInvCk.on_read());
-        assert!(InjectCause::WriteOnSharedCk.on_write());
-        assert!(!InjectCause::Replacement.on_read());
-        assert!(!InjectCause::Replacement.on_write());
     }
 }

@@ -1,7 +1,8 @@
 //! Reliable end-to-end transport bookkeeping for the network interface.
 //!
-//! The mesh below the protocol can drop, duplicate, delay or refuse to
-//! route messages once interconnect faults are in play (see `ftcoma-net`).
+//! The mesh below the protocol can drop or refuse to route messages once
+//! interconnect faults are in play (see `ftcoma-net`), and retransmission
+//! itself delivers duplicates when an ack is lost.
 //! This module holds the *pure* state machinery a node's network interface
 //! needs to make message delivery reliable on top of that:
 //!

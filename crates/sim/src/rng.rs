@@ -147,14 +147,6 @@ impl DetRng {
         Self { state: snap.0 }
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Samples a point uniformly from the union of half-open windows
     /// `[lo, hi)`, each weighted by its width — the chaos fuzzer's
     /// injection-time sampler (bias failure times into checkpoint or
@@ -445,15 +437,5 @@ mod tests {
         assert!(low < 100, "low window over-sampled: {low}");
         assert_eq!(r.in_windows(&[]), None);
         assert_eq!(r.in_windows(&[(7, 7), (9, 3)]), None);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::seeded(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -184,14 +184,6 @@ impl SplashConfig {
         self.barrier_interval_refs = Some(refs);
         self
     }
-
-    /// Scales both working-set regions by `factor` (≥ 1 page each).
-    pub fn scale_working_set(mut self, factor: f64) -> Self {
-        self.shared_pages = ((self.shared_pages as f64 * factor).round() as u64).max(1);
-        self.private_pages_per_node =
-            ((self.private_pages_per_node as f64 * factor).round() as u64).max(1);
-        self
-    }
 }
 
 /// Barnes-Hut: 190 M instructions; 18.4 % reads / 10.7 % writes;
@@ -371,15 +363,6 @@ mod tests {
     #[test]
     fn mp3d_working_set_is_9x_barnes() {
         assert_eq!(mp3d().shared_pages, 9 * barnes().shared_pages);
-    }
-
-    #[test]
-    fn scale_working_set_rounds_and_floors() {
-        let tiny = barnes().scale_working_set(0.001);
-        assert_eq!(tiny.shared_pages, 1);
-        assert_eq!(tiny.private_pages_per_node, 1);
-        let big = barnes().scale_working_set(2.0);
-        assert_eq!(big.shared_pages, 8);
     }
 
     #[test]

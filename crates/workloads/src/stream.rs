@@ -46,8 +46,7 @@ pub trait RefStream {
 
 /// Saved state of a [`RefStream`] implementation.
 ///
-/// For [`NodeStream`] this captures the generator's full state; simpler
-/// streams (e.g. trace replay) use the position-only constructor.
+/// For [`NodeStream`] this captures the generator's full state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSnapshot {
     rng: RngSnapshot,
@@ -58,28 +57,6 @@ pub struct StreamSnapshot {
     shr_frame: u64,
     shr_writes: u32,
     refs_emitted: u64,
-}
-
-impl StreamSnapshot {
-    /// Snapshot for position-indexed streams (trace replay): stores only a
-    /// cursor and the emission count.
-    pub fn for_position(pos: u64, emitted: u64) -> Self {
-        Self {
-            rng: ftcoma_sim::DetRng::seeded(0).snapshot(),
-            burst_item: pos,
-            burst_left: 0,
-            priv_frame: 0,
-            priv_writes: 0,
-            shr_frame: 0,
-            shr_writes: 0,
-            refs_emitted: emitted,
-        }
-    }
-
-    /// The `(cursor, emitted)` pair of a position snapshot.
-    pub fn position(&self) -> (u64, u64) {
-        (self.burst_item, self.refs_emitted)
-    }
 }
 
 /// The standard per-node stream implementing the four preset styles.

@@ -81,6 +81,42 @@ fn link_cut_detours_traffic_and_still_recovers() {
     }
 }
 
+/// The reliable path switches on at the first interconnect fault a
+/// machine hears of, whatever its kind: a link cut that never fires
+/// changes exactly what a bare preactivation does.
+#[test]
+fn a_link_cut_past_the_end_switches_on_the_transport_and_nothing_else() {
+    let plain = Machine::new(base()).run();
+    let mut pre = Machine::new(base());
+    pre.preactivate_transport();
+    let pre = pre.run();
+    let mut cut = Machine::new(base());
+    cut.schedule_link_cut(2 * pre.total_cycles, NodeId::new(0), NodeId::new(1));
+    assert_eq!(cut.run(), pre);
+    // Transport acks ride the mesh too.
+    assert!(pre.net_messages > plain.net_messages);
+}
+
+#[test]
+fn link_cut_and_message_loss_compose_in_either_order() {
+    let run = |cut_first: bool| {
+        let mut machine = Machine::new(base());
+        let cut = |m: &mut Machine| m.schedule_link_cut(2_000, NodeId::new(0), NodeId::new(1));
+        if cut_first {
+            cut(&mut machine);
+        }
+        machine.set_message_loss(3_000, 300);
+        if !cut_first {
+            cut(&mut machine);
+        }
+        (machine.run(), machine.outcome().clone())
+    };
+    let (m, outcome) = run(true);
+    assert_eq!(outcome, RecoveryOutcome::Recovered);
+    assert!(m.net_dropped_msgs > 0 && m.net_detour_hops > 0);
+    assert_eq!(run(false), (m, outcome));
+}
+
 #[test]
 fn router_down_escalates_into_a_permanent_node_failure() {
     let mut cfg = base();
