@@ -228,6 +228,54 @@ impl Scenario {
         }
     }
 
+    /// Checks that the scenario fits an `n`-node machine: every node it
+    /// targets exists and a cut link joins mesh-adjacent nodes. Campaign
+    /// specs check each scenario against each node count; a chaos replay
+    /// checks its artifact's scenario against the artifact's machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] naming the first node or link that does not
+    /// fit.
+    pub fn validate_for(&self, n: u16) -> Result<(), SpecError> {
+        if self.kind != ScenarioKind::None && self.node >= n {
+            return Err(err(format!(
+                "scenario targets node {} but the machine has only {n} nodes",
+                self.node
+            )));
+        }
+        match self.kind {
+            ScenarioKind::BackToBack { second_node, .. } if second_node >= n => Err(err(format!(
+                "scenario targets second node {second_node} but the machine has only {n} nodes"
+            ))),
+            ScenarioKind::Nested {
+                second_node,
+                gap2,
+                third_node,
+                ..
+            } if second_node >= n || (gap2 > 0 && third_node >= n) => Err(err(format!(
+                "nested scenario targets a node outside the {n}-node machine"
+            ))),
+            ScenarioKind::LinkCut { to_node } if to_node >= n => Err(err(format!(
+                "scenario cuts a link to node {to_node} but the machine has only {n} nodes"
+            ))),
+            ScenarioKind::LinkCut { to_node } => {
+                let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(n));
+                if geo.hops(NodeId::new(self.node), NodeId::new(to_node)) != 1 {
+                    return Err(err(format!(
+                        "link_cut nodes {} and {to_node} are not mesh-adjacent on {n} nodes \
+                         ({}x{})",
+                        self.node,
+                        geo.cols(),
+                        geo.rows()
+                    )));
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Parses the object form produced by [`Scenario::to_json`] — the
     /// scenario encoding campaign specs and chaos counterexample artifacts
     /// share. Missing optional fields take the spec defaults.
@@ -815,52 +863,7 @@ impl CampaignSpec {
                 )));
             }
             for sc in &self.scenarios {
-                if sc.kind != ScenarioKind::None && sc.node >= n {
-                    return Err(err(format!(
-                        "scenario targets node {} but the machine has only {n} nodes",
-                        sc.node
-                    )));
-                }
-                if let ScenarioKind::BackToBack { second_node, .. } = sc.kind {
-                    if second_node >= n {
-                        return Err(err(format!(
-                            "scenario targets second node {second_node} but the machine has \
-                             only {n} nodes"
-                        )));
-                    }
-                }
-                if let ScenarioKind::Nested {
-                    second_node,
-                    gap2,
-                    third_node,
-                    ..
-                } = sc.kind
-                {
-                    if second_node >= n || (gap2 > 0 && third_node >= n) {
-                        return Err(err(format!(
-                            "nested scenario targets a node outside the {n}-node machine"
-                        )));
-                    }
-                }
-                if let ScenarioKind::LinkCut { to_node } = sc.kind {
-                    if to_node >= n {
-                        return Err(err(format!(
-                            "scenario cuts a link to node {to_node} but the machine has \
-                             only {n} nodes"
-                        )));
-                    }
-                    let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(n));
-                    let (a, b) = (NodeId::new(sc.node), NodeId::new(to_node));
-                    if geo.hops(a, b) != 1 {
-                        return Err(err(format!(
-                            "link_cut nodes {} and {to_node} are not mesh-adjacent on \
-                             {n} nodes ({}x{})",
-                            sc.node,
-                            geo.cols(),
-                            geo.rows()
-                        )));
-                    }
-                }
+                sc.validate_for(n)?;
             }
         }
         let faulty = self.scenarios.iter().any(|s| s.kind != ScenarioKind::None);

@@ -591,9 +591,9 @@ fn minimize_case<F: FnMut(&Cell) -> CellOutcome>(
 ///
 /// # Errors
 ///
-/// Returns a message for unknown workloads, a machine seed that no longer
-/// matches the derivation (stale artifact), or a golden run that does not
-/// recover.
+/// Returns a message for unknown workloads, a scenario that does not fit
+/// the artifact's machine, a machine seed that no longer matches the
+/// derivation (stale artifact), or a golden run that does not recover.
 pub fn replay(cx: &Counterexample) -> Result<Verdict, String> {
     let workload = presets::all()
         .into_iter()
@@ -617,6 +617,7 @@ pub fn replay(cx: &Counterexample) -> Result<Verdict, String> {
         nested: false,
     };
     cfg.validate()?;
+    cx.scenario.validate_for(cx.nodes).map_err(|e| e.0)?;
     if cfg.machine_seed(cx.seed_group) != cx.machine_seed {
         return Err(format!(
             "stale artifact: seed derivation now gives 0x{:016x}, artifact has 0x{:016x}",

@@ -436,18 +436,46 @@ fn export_failures_exit_through_the_error_path_not_a_panic() {
 fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
     // Out-of-range integers must not wrap into a different machine (65540
     // nodes used to run a 4-node one), configurations the machine rejects
-    // must not reach its constructor's panic, and a span that ends before
-    // it starts must not reach `SpanRecord::duration`'s subtraction.
-    let spans = std::env::temp_dir().join(format!(
-        "ftcoma_test_inverted_span_{}.jsonl",
-        std::process::id()
-    ));
-    std::fs::write(
-        &spans,
+    // must not reach its constructor's panic, a span that ends before it
+    // starts must not reach `SpanRecord::duration`'s subtraction, and a
+    // replayed scenario that does not fit its artifact's machine must not
+    // reach the machine's node and link lookups.
+    let temp = |name: &str, text: &str| {
+        let path = std::env::temp_dir().join(format!("ftcoma_test_{name}_{}", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let spans = temp(
+        "inverted_span.jsonl",
         r#"{"id": 1, "parent": 0, "phase": "transaction", "node": 0, "start": 10, "end": 5}"#,
-    )
-    .unwrap();
-    let spans = spans.to_string_lossy().into_owned();
+    );
+    // Campaign seed 7, group 0: the machine seed is current, so only the
+    // scenario stands between each artifact and a run on 8 nodes.
+    let artifact = |name: &str, scenario: &str| {
+        temp(
+            name,
+            &format!(
+                r#"{{"kind": "chaos_counterexample", "campaign_seed": "0x7", "seed_group": 0,
+                "machine_seed": "0x63cbe1e459320dd7", "workload": "water", "nodes": 8,
+                "freq": 1000, "refs_per_node": 2000, "case_id": 1,
+                "scenario": {scenario}, "original": {scenario}}}"#
+            ),
+        )
+    };
+    let replays = [
+        artifact(
+            "node_out_of_range.json",
+            r#"{"kind": "transient", "node": 30, "at": 5000}"#,
+        ),
+        artifact(
+            "link_not_adjacent.json",
+            r#"{"kind": "link_cut", "node": 0, "to_node": 5, "at": 5000}"#,
+        ),
+        artifact(
+            "router_out_of_range.json",
+            r#"{"kind": "router_down", "node": 9, "at": 5000}"#,
+        ),
+    ];
     let cases: &[&[&str]] = &[
         &[
             "run", "--nodes", "65540", "--refs", "2000", "--warmup", "0", "--json",
@@ -462,6 +490,9 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         &["failure", "--node", "20"],
         &["chaos", "--nodes", "65540"],
         &["trace", "summarize", "--spans", &spans],
+        &["chaos", "--replay", &replays[0]],
+        &["chaos", "--replay", &replays[1]],
+        &["chaos", "--replay", &replays[2]],
     ];
     for args in cases {
         let out = ftcoma(args);
@@ -470,7 +501,9 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
-    let _ = std::fs::remove_file(&spans);
+    for path in replays.iter().chain([&spans]) {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

@@ -249,35 +249,72 @@ fn write_number(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null");
     } else if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
-        let _ = write!(out, "{}", x as i64);
+        write_integer(out, x as i64);
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+// The writers below copy whole runs of bytes rather than pushing one
+// `char` or digit at a time, and integers skip `core::fmt`: a render's
+// cost is then mostly the document walk, not per-byte work.
+
+/// Writes `n` exactly as `{}` formats it.
+fn write_integer(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Every byte that needs an escape is ASCII, so the unescaped runs
+/// between them start and end on `char` boundaries.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1F => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    const SPACES: &str = "                                ";
     if let Some(w) = indent {
         out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
+        let mut n = w * depth;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            out.push_str(&SPACES[..k]);
+            n -= k;
         }
     }
 }
@@ -514,6 +551,14 @@ mod tests {
         let v = Json::parse(text).unwrap();
         assert_eq!(v.to_string_compact(), text);
         assert_eq!(Json::parse(&v.to_string_pretty()).unwrap(), v);
+        // Deeper than one copy of `newline_indent`'s run of spaces.
+        let mut deep = Json::from(1u64);
+        for _ in 0..20 {
+            deep = Json::arr([deep]);
+        }
+        let text = deep.to_string_pretty();
+        assert!(text.contains(&format!("\n{}1\n", " ".repeat(40))));
+        assert_eq!(Json::parse(&text).unwrap(), deep);
     }
 
     #[test]
@@ -523,11 +568,24 @@ mod tests {
         // Control characters are re-escaped on output.
         let s = Json::Str("a\u{1}b".into()).to_string_compact();
         assert_eq!(s, "\"a\\u0001b\"");
+        // Escapes at either end and between multi-byte characters.
+        let s = Json::Str("\u{1f}é\"😀\\\r\n\tß\u{0}".into()).to_string_compact();
+        assert_eq!(s, r#""\u001fé\"😀\\\r\n\tß\u0000""#);
     }
 
     #[test]
     fn integers_print_without_decimal_point() {
         assert_eq!(Json::from(12u64).to_string_compact(), "12");
+        for (x, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (-7.0, "-7"),
+            (1e15, "1000000000000000"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (-9_007_199_254_740_992.0, "-9007199254740992"),
+        ] {
+            assert_eq!(Json::Num(x).to_string_compact(), text);
+        }
         assert_eq!(Json::from(2.5).to_string_compact(), "2.5");
         assert_eq!(Json::Num(f64::NAN).to_string_compact(), "null");
     }

@@ -396,6 +396,53 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_stream_is_pinned() {
+        // The values each preset's stream produces, recorded from a known
+        // build: node 3 of 16, seed 2028, the first 20 000 references plus
+        // the final `refs_emitted` and RNG state, folded FNV-1a style.
+        // Any change to a generator or to the `DetRng` draws they consume
+        // changes every report, so it must show up here.
+        const PINNED: [(&str, u64); 7] = [
+            ("Barnes", 0xd37c_eb52_39e6_4954),
+            ("Cholesky", 0x55bc_9475_0452_fdea),
+            ("Mp3d", 0x0be9_06da_7ba2_dfc8),
+            ("Water", 0x2418_c43a_6c55_58ce),
+            ("uniform", 0x2081_8628_0f26_bbcf),
+            ("hotspot", 0x0806_7c9e_dc11_89cb),
+            ("prodcons", 0x3d51_090a_1440_81cf),
+        ];
+        let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+        let cfgs: Vec<_> = presets::all()
+            .into_iter()
+            .chain(presets::micros())
+            .collect();
+        assert_eq!(cfgs.len(), PINNED.len());
+        let mut changed = Vec::new();
+        for (cfg, (name, want)) in cfgs.iter().zip(PINNED) {
+            assert_eq!(cfg.name, name);
+            let mut s = NodeStream::new(cfg, 3, 16, 2028);
+            let mut h = 0xCBF2_9CE4_8422_2325;
+            for _ in 0..20_000 {
+                let r = s.next_ref();
+                for x in [
+                    u64::from(r.pre_cycles),
+                    u64::from(r.is_write),
+                    r.addr.raw(),
+                    u64::from(r.shared),
+                ] {
+                    h = fold(h, x);
+                }
+            }
+            h = fold(h, s.refs_emitted());
+            h = fold(h, DetRng::restore(&s.snapshot().rng).next_u64());
+            if h != want {
+                changed.push(format!("{name}: {h:#018x}"));
+            }
+        }
+        assert!(changed.is_empty(), "stream changed: {changed:?}");
+    }
+
+    #[test]
     fn nodes_have_distinct_streams() {
         let cfg = presets::barnes();
         let mut a = NodeStream::new(&cfg, 0, 8, 7);
