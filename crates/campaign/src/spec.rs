@@ -50,14 +50,23 @@ pub enum Lengths {
 /// Run lengths `(refs_per_node, warmup_refs_per_node)` for a checkpoint
 /// frequency: low frequencies need long runs so several recovery points
 /// land inside the measured window.
+///
+/// # Panics
+///
+/// Panics if the frequency is not positive and finite, or so low that the
+/// lengths overflow; [`CampaignSpec::validate`] rejects both.
 pub fn lengths_for(freq_hz: f64) -> (u64, u64) {
+    checked_lengths_for(freq_hz).expect("run lengths overflow at this frequency")
+}
+
+fn checked_lengths_for(freq_hz: f64) -> Option<(u64, u64)> {
     let period = Clock::ksr1().period_for_rate_hz(freq_hz);
     // At ~5 cycles/reference, `period * 4 / 5` references cover several
     // checkpoint intervals; the warmup covers at least one full interval so
     // measurement starts from a steady recovery-data population.
-    let refs = (period * 4 / 5).max(60_000);
-    let warmup = (period * 2 / 5).max(30_000);
-    (refs, warmup)
+    let refs = (period.checked_mul(4)? / 5).max(60_000);
+    let warmup = (period.checked_mul(2)? / 5).max(30_000);
+    Some((refs, warmup))
 }
 
 /// What kind of failure a scenario injects.
@@ -848,9 +857,12 @@ impl CampaignSpec {
                 return Err(err("`refs` must be positive"));
             }
         }
-        for f in &self.freqs {
-            if !f.is_finite() || *f <= 0.0 {
-                return Err(err(format!("frequency {f} is not a positive number")));
+        for &f in &self.freqs {
+            FtConfig::try_enabled(f).map_err(err)?;
+            if matches!(self.lengths, Lengths::PerFrequency) && checked_lengths_for(f).is_none() {
+                return Err(err(format!(
+                    "frequency {f:e} is too low for `lengths: \"paper\"`: its run lengths overflow"
+                )));
             }
         }
         for &n in &self.nodes {

@@ -146,10 +146,7 @@ impl ChaosConfig {
         if self.refs_per_node == 0 {
             return Err("refs_per_node must be positive".into());
         }
-        if !self.freq_hz.is_finite() || self.freq_hz <= 0.0 {
-            return Err(format!("bad checkpoint frequency {}", self.freq_hz));
-        }
-        Ok(())
+        FtConfig::try_enabled(self.freq_hz).map(|_| ())
     }
 }
 

@@ -97,6 +97,11 @@ USAGE
   ftcoma latency
   ftcoma help
 
+  --freq, --freqs and a campaign's \"freqs\" count recovery points per
+  simulated second: more than 0 and at most 4e7, twice the 20 MHz clock
+  (a 1-cycle period). A campaign with \"lengths\": \"paper\" also rejects
+  a frequency so low that its run lengths overflow.
+
 CAMPAIGNS
   A campaign spec (see docs/CAMPAIGNS.md) expands workloads x node counts
   x checkpoint frequencies x failure scenarios into independent cells, run
@@ -171,13 +176,7 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     let ft = if p.has("no-ft") {
         FtConfig::disabled()
     } else {
-        let freq = p.f64_or("freq", 100.0)?;
-        if !(freq.is_finite() && freq > 0.0) {
-            return Err(ArgError(format!(
-                "--freq must be a positive number of recovery points per second, got {freq}"
-            )));
-        }
-        FtConfig::enabled(freq)
+        FtConfig::try_enabled(p.f64_or("freq", 100.0)?).map_err(ArgError)?
     };
     let net = if p.has("wormhole") {
         ftcoma_net_config_wormhole()

@@ -476,6 +476,13 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
             r#"{"kind": "router_down", "node": 9, "at": 5000}"#,
         ),
     ];
+    // A rate whose period rounds to 0 cycles, and a paper-length run whose
+    // period saturates, used to hang the simulator.
+    let tiny_freq = temp(
+        "tiny_freq.json",
+        r#"{"name": "t", "workloads": ["water"], "nodes": [4], "freqs": [1e-300],
+            "lengths": "paper"}"#,
+    );
     let cases: &[&[&str]] = &[
         &[
             "run", "--nodes", "65540", "--refs", "2000", "--warmup", "0", "--json",
@@ -484,6 +491,9 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         &["run", "--refs", "0"],
         &["run", "--freq", "0"],
         &["run", "--freq", "inf"],
+        &["run", "--freq", "5e7"],
+        &["chaos", "--freq", "5e7"],
+        &["campaign", "--spec", &tiny_freq],
         &["run", "--fail-at", "1000", "--fail-node", "65537"],
         &["run", "--max-retries", "4294967297"],
         &["failure", "--node", "65537"],
@@ -501,7 +511,7 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
-    for path in replays.iter().chain([&spans]) {
+    for path in replays.iter().chain([&spans, &tiny_freq]) {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -84,17 +84,37 @@ impl FtConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `rate_hz` is not strictly positive and finite.
+    /// Panics if [`FtConfig::try_enabled`] rejects the rate.
     pub fn enabled(rate_hz: f64) -> Self {
-        assert!(
-            rate_hz.is_finite() && rate_hz > 0.0,
-            "checkpoint rate must be positive"
-        );
-        Self {
+        Self::try_enabled(rate_hz).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// ECP with the given recovery-point frequency (per simulated second),
+    /// if the machine can establish recovery points that often.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a rate that is not strictly positive and finite, and one
+    /// above twice the clock frequency, whose period rounds to 0 cycles.
+    pub fn try_enabled(rate_hz: f64) -> Result<Self, String> {
+        if !(rate_hz.is_finite() && rate_hz > 0.0) {
+            return Err(format!(
+                "checkpoint rate must be a positive number of recovery points per second, got {rate_hz}"
+            ));
+        }
+        let cfg = Self {
             mode: FtMode::Enabled,
             ckpt_rate_hz: rate_hz,
             ..Self::disabled()
+        };
+        if cfg.ckpt_period_cycles() == Some(0) {
+            return Err(format!(
+                "checkpoint rate {rate_hz} is above {} recovery points per second: \
+                 its period rounds to 0 cycles",
+                2.0 * cfg.clock_hz
+            ));
         }
+        Ok(cfg)
     }
 
     /// Cycles between recovery-point establishments, if enabled.
@@ -136,5 +156,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = FtConfig::enabled(0.0);
+    }
+
+    #[test]
+    fn rates_whose_period_rounds_to_zero_are_rejected() {
+        assert_eq!(FtConfig::enabled(4e7).ckpt_period_cycles(), Some(1));
+        assert!(FtConfig::try_enabled(4.1e7).is_err());
+        assert!(FtConfig::try_enabled(f64::NAN).is_err());
     }
 }

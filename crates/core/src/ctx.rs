@@ -97,11 +97,6 @@ impl<'a> Ctx<'a> {
     pub fn queued_messages(&self) -> &[Outgoing] {
         &self.out
     }
-
-    /// Effects recorded so far (test helper).
-    pub fn queued_effects(&self) -> &[Effect] {
-        &self.effects
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +122,6 @@ mod tests {
         );
         ctx.effect(Effect::Resume { latency: 18 });
         assert_eq!(ctx.queued_messages().len(), 2);
-        assert_eq!(ctx.queued_effects().len(), 1);
         let (out, eff) = ctx.finish();
         assert_eq!(out[1].delay, 7);
         assert_eq!(eff[0], Effect::Resume { latency: 18 });

@@ -37,12 +37,15 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod coordinator;
+mod episode;
 pub mod export;
 pub mod faultproc;
 pub mod machine;
 pub mod metrics;
 mod observer;
 pub mod probe;
+mod processors;
 pub mod tracelog;
 mod transport;
 

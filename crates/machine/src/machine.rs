@@ -1,8 +1,6 @@
 //! The machine: nodes + engine + mesh + checkpoint coordinator + failures,
 //! advanced by one deterministic event loop.
 
-use std::collections::VecDeque;
-
 use ftcoma_core::{
     ckpt, invariants, recovery, AccessOutcome, AccessReq, Ctx, Effect, Engine, HitSource,
     RecoveryOutcome,
@@ -13,12 +11,14 @@ use ftcoma_protocol::msg::{InjectCause, Msg};
 use ftcoma_protocol::NodeState;
 use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{derive_seed, Cycles, EventQueue, FxHashMap};
-use ftcoma_workloads::{MemRef, NodeStream, RefStream, StreamSnapshot};
 
 use crate::config::{FailureKind, MachineConfig};
+use crate::coordinator::{Coordinator, Step};
+use crate::episode::RecoveryEpisode;
 use crate::faultproc::{FaultAction, FaultProcess, FaultProcessConfig};
 use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
 use crate::observer::Observer;
+use crate::processors::Processors;
 use crate::tracelog::TraceEvent;
 use crate::transport::Transport;
 
@@ -80,33 +80,6 @@ const FAULT_PROC_MIN_ALIVE: usize = 4;
 /// probability approaching 1 as the run grows).
 const LOSS_WINDOW: Cycles = 16_000;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProcState {
-    /// Will issue at its scheduled `Proc` event.
-    Ready,
-    /// Blocked on a coherence transaction.
-    Stalled,
-    /// Stopped for a checkpoint or recovery.
-    Paused,
-    /// Waiting at a global barrier.
-    AtBarrier,
-    /// Completed its reference quota.
-    Done,
-    /// Permanently failed.
-    Dead,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Running,
-    /// Waiting for in-flight transactions to finish before `create`.
-    Draining,
-    /// Create phase of a recovery point establishment in progress.
-    Create,
-    /// Post-failure reconfiguration in progress.
-    Recovering,
-}
-
 /// The simulated ft-coma machine. See the crate docs for an example.
 ///
 /// `Clone` is deep and deterministic: the clone replays exactly like the
@@ -120,40 +93,10 @@ pub struct Machine {
     ring: LogicalRing,
     queue: EventQueue<Event>,
 
-    streams: Vec<NodeStream>,
-    snapshots: Vec<StreamSnapshot>,
-    /// Per-stream buffered-but-unissued reference at the recovery point.
-    /// The stream snapshot already counts such a reference as emitted, so
-    /// a rollback must re-inject it explicitly or it is lost forever.
-    pending_snap: Vec<Option<MemRef>>,
-    /// References re-injected by a rollback, drained before the streams.
-    carryover: Vec<VecDeque<(usize, MemRef)>>,
-    /// Stream indices each node executes (grows when adopting a dead
-    /// node's work).
-    assigned: Vec<Vec<usize>>,
-    rr: Vec<usize>,
-    pending_ref: Vec<Option<(usize, MemRef)>>,
-    proc: Vec<ProcState>,
-    epochs: Vec<u64>,
-    stall_start: Vec<Cycles>,
-    refs_since_barrier: Vec<u64>,
-
-    phase: Phase,
-    gen: u64,
-    deliver_pending: usize,
-    ckpt_start: Cycles,
-    create_done: usize,
-    reconfig_done: usize,
-    reconfig_expected: usize,
-    recovery_start: Cycles,
-    recovery_scan_end: Cycles,
-    /// Failures folded into the recovery episode currently in flight (1
-    /// for a plain fault, +1 per nested fault that restarted the episode;
-    /// 0 outside recovery). Credited to `faults_survived` in one lump when
-    /// the episode's reconfiguration finally completes.
-    episode_faults: u64,
-    timer_in_queue: bool,
-    pending_repair: Option<NodeId>,
+    /// Reference streams, issue buffers and processor states.
+    procs: Processors,
+    /// Global phase, checkpoint timer and in-flight message count.
+    coord: Coordinator,
     /// Continuous MTBF/MTTR failure–repair schedule generator
     /// ([`Machine::install_fault_process`]; `None` = scripted faults only).
     fault_process: Option<FaultProcess>,
@@ -216,10 +159,6 @@ impl Machine {
         let nodes: Vec<NodeState> = (0..cfg.nodes)
             .map(|i| NodeState::new(NodeId::new(i), cfg.am, cfg.cache))
             .collect();
-        let streams: Vec<NodeStream> = (0..cfg.nodes)
-            .map(|i| NodeStream::new(&cfg.workload, i, cfg.nodes, cfg.seed))
-            .collect();
-        let snapshots = streams.iter().map(NodeStream::snapshot).collect();
         let mesh = Fabric::new(cfg.fabric(), n);
         let engine = Engine::new(cfg.ft, cfg.timing, n);
         let mut machine = Self {
@@ -228,29 +167,8 @@ impl Machine {
             mesh,
             ring: LogicalRing::new(n),
             queue: EventQueue::new(),
-            streams,
-            snapshots,
-            pending_snap: vec![None; n],
-            carryover: (0..n).map(|_| VecDeque::new()).collect(),
-            assigned: (0..n).map(|i| vec![i]).collect(),
-            rr: vec![0; n],
-            pending_ref: vec![None; n],
-            proc: vec![ProcState::Ready; n],
-            epochs: vec![0; n],
-            stall_start: vec![0; n],
-            refs_since_barrier: vec![0; n],
-            phase: Phase::Running,
-            gen: 0,
-            deliver_pending: 0,
-            ckpt_start: 0,
-            create_done: 0,
-            reconfig_done: 0,
-            reconfig_expected: 0,
-            recovery_start: 0,
-            recovery_scan_end: 0,
-            episode_faults: 0,
-            timer_in_queue: false,
-            pending_repair: None,
+            procs: Processors::new(&cfg),
+            coord: Coordinator::new(cfg.ft.ckpt_period_cycles()),
             fault_process: None,
             transport: None,
             committed_values: FxHashMap::default(),
@@ -270,12 +188,9 @@ impl Machine {
         // Hop segments feed span capture only; timing is unchanged.
         machine.mesh.set_hop_trace(machine.cfg.trace_capacity > 0);
         for i in 0..n {
-            machine.prepare_and_schedule(NodeId::new(i as u16), 0, true);
+            machine.schedule_issue(NodeId::new(i as u16), 0);
         }
-        if let Some(period) = machine.cfg.ft.ckpt_period_cycles() {
-            machine.queue.schedule(period, Event::CkptTimer);
-            machine.timer_in_queue = true;
-        }
+        machine.arm_timer(0, 0);
         machine
     }
 
@@ -462,7 +377,7 @@ impl Machine {
             if self.halted {
                 return;
             }
-            if self.all_done() && self.deliver_pending == 0 && self.phase == Phase::Running {
+            if self.coord.running() && self.coord.in_flight() == 0 && self.procs.all_done() {
                 return;
             }
             if let Some(l) = limit {
@@ -522,9 +437,7 @@ impl Machine {
             };
             self.metrics.per_node[i].pages_peak = self.nodes[i].am.peak_allocated_pages() as u64;
         }
-        self.metrics.net_messages = self.mesh.stats().messages;
-        self.metrics.net_contention_cycles = self.mesh.stats().contention_cycles;
-        self.metrics.net_detour_hops = self.mesh.stats().detour_hops;
+        self.metrics.record_net(self.mesh.stats());
         if let Some((base, base_cycles)) = self.baseline.take() {
             self.metrics = self.metrics.delta_since(&base);
             self.metrics.total_cycles = self.queue.now() - base_cycles;
@@ -566,7 +479,7 @@ impl Machine {
     /// `warmup_refs_per_node + refs_per_node` even when streams were
     /// adopted by an heir — the liveness signal chaos oracles check.
     pub fn stream_progress(&self) -> Vec<u64> {
-        self.streams.iter().map(RefStream::refs_emitted).collect()
+        self.procs.progress()
     }
 
     /// The owner-visible memory image: `(item index, value)` for every
@@ -642,22 +555,14 @@ impl Machine {
     ///
     /// Panics with a readable report if an invariant is violated.
     pub fn assert_invariants(&self) {
-        let scope = invariants::CheckScope {
-            allow_precommit: self.phase == Phase::Create,
-            check_homes: self.deliver_pending == 0,
-        };
-        invariants::assert_consistent(&self.nodes, &self.ring, scope);
+        invariants::assert_consistent(&self.nodes, &self.ring, self.coord.check_scope());
     }
 
     /// Checks all protocol invariants and returns the violations (empty =
     /// consistent). Non-panicking form of [`Machine::assert_invariants`]
     /// for harnesses that report rather than abort.
     pub fn check_invariants(&self) -> Vec<String> {
-        let scope = invariants::CheckScope {
-            allow_precommit: self.phase == Phase::Create,
-            check_homes: self.deliver_pending == 0,
-        };
-        invariants::check(&self.nodes, &self.ring, scope)
+        invariants::check(&self.nodes, &self.ring, self.coord.check_scope())
     }
 
     /// Verifies that the memory image matches the last committed recovery
@@ -720,12 +625,6 @@ impl Machine {
         self.nodes.iter().filter(|n| n.alive)
     }
 
-    fn all_done(&self) -> bool {
-        self.proc
-            .iter()
-            .all(|&p| matches!(p, ProcState::Done | ProcState::Dead))
-    }
-
     /// Emits every due time-series row up to (and including) simulation
     /// time `t`. Pure observation: reads counters, schedules nothing.
     fn sample_timeseries_until(&mut self, t: Cycles) {
@@ -736,12 +635,7 @@ impl Machine {
             refs_delta: 0,
             read_misses: metrics.read_misses,
             write_misses: metrics.write_misses,
-            in_flight: (self
-                .proc
-                .iter()
-                .filter(|&&p| p == ProcState::Stalled)
-                .count()
-                + self.deliver_pending) as u64,
+            in_flight: (self.procs.stalled() + self.coord.in_flight()) as u64,
             queue_depth: self.queue.len() as u64,
             nodes_up: self.ring.alive_count() as u64,
             nodes_down: (0..self.nodes.len())
@@ -786,132 +680,64 @@ impl Machine {
         if self.halted {
             return; // terminal outcome: no phase may make progress
         }
-        if self.cfg.workload.barrier_interval_refs.is_some() && self.phase == Phase::Running {
-            self.try_release_barrier();
+        if self.coord.running() && self.procs.release_barrier() {
+            self.resume_paused(|_| 1);
         }
-        // Phase progress checks after every event.
-        if self.phase == Phase::Draining {
-            self.try_begin_create();
-        }
-        if self.phase == Phase::Create
-            && self.create_done == self.ring.alive_count()
-            && self.deliver_pending == 0
-        {
-            self.do_commit();
-        }
-        if self.phase == Phase::Recovering
-            && self.reconfig_done == self.reconfig_expected
-            && self.deliver_pending == 0
-        {
-            self.finish_recovery();
+        self.make_progress();
+    }
+
+    /// Moves the current phase on once its condition holds: checked after
+    /// every event, and wherever a phase may complete on the spot.
+    fn make_progress(&mut self) {
+        match self.coord.step(&self.procs) {
+            None => {}
+            Some(Step::Create) => self.begin_create(),
+            Some(Step::Rejoin(node)) => self.do_repair(node),
+            Some(Step::Commit { since }) => self.do_commit(since),
+            Some(Step::Recovered(episode)) => self.finish_recovery(episode),
         }
     }
 
-    /// Releases the global barrier once every eligible node has arrived.
-    fn try_release_barrier(&mut self) {
-        let eligible = self
-            .proc
-            .iter()
-            .filter(|p| !matches!(p, ProcState::Done | ProcState::Dead))
-            .count();
-        let waiting = self
-            .proc
-            .iter()
-            .filter(|&&p| p == ProcState::AtBarrier)
-            .count();
-        if eligible == 0 || waiting < eligible {
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            if self.proc[i] == ProcState::AtBarrier {
-                self.proc[i] = ProcState::Paused;
-                let id = self.nodes[i].id;
-                self.resume_paused(id, 1);
-            }
-        }
+    /// Makes `node`'s processor ready and, unless it has finished,
+    /// schedules its issue `delay` cycles from now, plus the compute gap of
+    /// a freshly buffered reference. Returns the issue cycle.
+    fn schedule_issue(&mut self, node: NodeId, delay: Cycles) -> Option<Cycles> {
+        let (epoch, pre) = self.procs.ready(node)?;
+        let at = self.queue.now() + delay + pre;
+        self.queue.schedule(at, Event::Proc { node, epoch });
+        Some(at)
     }
 
-    /// Picks the next reference for `node` from its assigned streams
-    /// (round-robin), or `None` when its quota is complete.
-    fn next_ref_for(&mut self, node: NodeId) -> Option<(usize, MemRef)> {
-        let i = node.index();
-        if let Some(re_injected) = self.carryover[i].pop_front() {
-            return Some(re_injected);
-        }
-        let k = self.assigned[i].len();
-        for step in 0..k {
-            let si = self.assigned[i][(self.rr[i] + step) % k];
-            let quota = self.cfg.warmup_refs_per_node + self.cfg.refs_per_node;
-            if self.streams[si].refs_emitted() < quota {
-                self.rr[i] = (self.rr[i] + step + 1) % k;
-                let r = self.streams[si].next_ref();
-                return Some((si, r));
-            }
-        }
-        None
+    /// Resumes every paused processor, node `i` after `delay(i)` cycles.
+    /// Returns the cycle the last of them issues at, or now if none will.
+    fn resume_paused(&mut self, delay: impl Fn(usize) -> Cycles) -> Cycles {
+        let paused: Vec<usize> = self.procs.paused().collect();
+        let now = self.queue.now();
+        paused
+            .into_iter()
+            .filter_map(|i| self.schedule_issue(NodeId::new(i as u16), delay(i)))
+            .fold(now, Cycles::max)
     }
 
-    /// Makes `node` Ready with a buffered reference and schedules its issue.
-    /// `include_pre` adds the reference's compute gap to the issue time
-    /// (used for freshly generated references).
-    fn prepare_and_schedule(&mut self, node: NodeId, at_delay: Cycles, include_pre: bool) {
-        let i = node.index();
-        if self.pending_ref[i].is_none() {
-            match self.next_ref_for(node) {
-                Some((si, r)) => self.pending_ref[i] = Some((si, r)),
-                None => {
-                    self.proc[i] = ProcState::Done;
-                    return;
-                }
-            }
+    /// Queues the checkpoint timer one period after `from`, but not before
+    /// `floor`, unless one is already queued.
+    fn arm_timer(&mut self, from: Cycles, floor: Cycles) {
+        if let Some(at) = self.coord.arm_timer(from, floor) {
+            self.queue.schedule(at, Event::CkptTimer);
         }
-        let pre = if include_pre {
-            Cycles::from(
-                self.pending_ref[i]
-                    .as_ref()
-                    .expect("just filled")
-                    .1
-                    .pre_cycles,
-            )
-        } else {
-            0
-        };
-        self.proc[i] = ProcState::Ready;
-        self.epochs[i] += 1;
-        let epoch = self.epochs[i];
-        self.queue.schedule(
-            self.queue.now() + at_delay + pre,
-            Event::Proc { node, epoch },
-        );
     }
 
     fn on_proc(&mut self, node: NodeId, epoch: u64) {
+        // Nothing to issue when the event is stale (from before a pause
+        // or rollback) or the processor stopped at the global barrier.
+        let Some((r, write_value)) = self.procs.issue(node, epoch) else {
+            return;
+        };
+        debug_assert!(self.coord.running(), "ready processors only run in Running");
         let i = node.index();
-        if epoch != self.epochs[i] || self.proc[i] != ProcState::Ready {
-            return; // stale event from before a pause/rollback
-        }
-        debug_assert_eq!(
-            self.phase,
-            Phase::Running,
-            "ready processors only run in Running"
-        );
-
-        // Global barrier: SPLASH-style phase synchronisation.
-        if let Some(interval) = self.cfg.workload.barrier_interval_refs {
-            if self.refs_since_barrier[i] >= interval {
-                self.refs_since_barrier[i] = 0;
-                self.proc[i] = ProcState::AtBarrier;
-                self.try_release_barrier();
-                return;
-            }
-        }
-        let (si, r) = self.pending_ref[i]
-            .take()
-            .expect("ready node has a buffered reference");
 
         self.metrics.refs += 1;
         self.metrics.per_node[i].refs += 1;
-        self.refs_since_barrier[i] += 1;
         self.metrics.instructions += 1 + u64::from(r.pre_cycles);
         if self.baseline.is_none()
             && self.cfg.warmup_refs_per_node > 0
@@ -919,9 +745,7 @@ impl Machine {
         {
             let mut snap = self.metrics.clone();
             snap.total_cycles = 0;
-            snap.net_messages = self.mesh.stats().messages;
-            snap.net_contention_cycles = self.mesh.stats().contention_cycles;
-            snap.net_detour_hops = self.mesh.stats().detour_hops;
+            snap.record_net(self.mesh.stats());
             self.baseline = Some((snap, self.queue.now()));
         }
         if r.is_write {
@@ -930,7 +754,6 @@ impl Machine {
             self.metrics.reads += 1;
         }
 
-        let write_value = ((si as u64) << 48) | self.streams[si].refs_emitted();
         let req = AccessReq {
             addr: r.addr,
             is_write: r.is_write,
@@ -953,7 +776,7 @@ impl Machine {
                     _ => {}
                 }
                 self.metrics.access_latency.record(latency);
-                self.prepare_and_schedule(node, latency, true);
+                self.schedule_issue(node, latency);
             }
             AccessOutcome::Stalled => {
                 if r.is_write {
@@ -963,14 +786,13 @@ impl Machine {
                     self.metrics.read_misses += 1;
                     self.metrics.per_node[i].read_misses += 1;
                 }
-                self.stall_start[i] = self.queue.now();
-                self.proc[i] = ProcState::Stalled;
+                self.procs.stall(node, self.queue.now());
             }
         }
     }
 
     fn on_deliver(&mut self, to: NodeId, msg: Msg, sent: Cycles) {
-        self.deliver_pending -= 1;
+        self.coord.delivered();
         if !self.nodes[to.index()].alive {
             return; // fail-silent node swallows the message
         }
@@ -992,148 +814,89 @@ impl Machine {
     }
 
     fn on_resume(&mut self, node: NodeId, epoch: u64) {
-        let i = node.index();
-        if epoch != self.epochs[i] || self.proc[i] != ProcState::Stalled {
+        let Some(stalled_at) = self.procs.unstall(node, epoch) else {
             return;
-        }
-        self.metrics
-            .access_latency
-            .record(self.queue.now() - self.stall_start[i]);
-        self.observer.resume(i, self.queue.now());
-        if self.phase == Phase::Running {
-            self.prepare_and_schedule(node, 0, true);
-        } else {
-            self.proc[i] = ProcState::Paused;
+        };
+        let now = self.queue.now();
+        self.metrics.access_latency.record(now - stalled_at);
+        self.observer.resume(node.index(), now);
+        if self.coord.running() {
+            self.schedule_issue(node, 0);
         }
     }
 
     fn on_ckpt_timer(&mut self) {
-        self.timer_in_queue = false;
-        if self.all_done() {
+        self.coord.timer_fired();
+        if self.procs.all_done() {
             return;
         }
-        if self.phase != Phase::Running {
-            // Recovery in progress: try again a period later.
-            self.schedule_timer(self.period());
+        let now = self.queue.now();
+        if !self.coord.begin_checkpoint(now) {
+            // Recovery or a repair in progress: try again a period later.
+            self.arm_timer(now, now);
             return;
         }
-        self.phase = Phase::Draining;
-        self.ckpt_start = self.queue.now();
-        // Pause every processor that has not yet issued; stalled ones
-        // finish their transaction first ("each node first terminates all
-        // pending requests").
-        for i in 0..self.nodes.len() {
-            if self.proc[i] == ProcState::Ready {
-                self.proc[i] = ProcState::Paused;
-                self.epochs[i] += 1; // invalidates the scheduled Proc event
-            }
-        }
-        self.try_begin_create();
+        self.procs.pause_ready();
+        self.make_progress();
     }
 
-    fn try_begin_create(&mut self) {
-        let quiesced = self.deliver_pending == 0
-            && self.proc.iter().all(|&p| {
-                matches!(
-                    p,
-                    ProcState::Paused | ProcState::AtBarrier | ProcState::Done | ProcState::Dead
-                )
-            });
-        if !quiesced {
-            return;
-        }
-        if let Some(node) = self.pending_repair.take() {
-            self.do_repair(node);
-            return;
-        }
-        self.phase = Phase::Create;
-        self.create_done = 0;
-        self.observer
-            .checkpoint_begun(self.queue.now(), self.gen + 1);
+    /// The drain is over: every live node starts creating its recovery
+    /// data.
+    fn begin_create(&mut self) {
+        let now = self.queue.now();
+        let gen = self.coord.begin_create(self.ring.alive_count());
+        self.observer.checkpoint_begun(now, gen);
         for i in 0..self.nodes.len() {
             if !self.nodes[i].alive {
                 continue;
             }
-            let mut ctx = Ctx::new(&self.ring, self.queue.now());
-            self.engine
-                .begin_create(&mut self.nodes[i], self.gen + 1, &mut ctx);
+            let mut ctx = Ctx::new(&self.ring, now);
+            self.engine.begin_create(&mut self.nodes[i], gen, &mut ctx);
             let (out, effects) = ctx.finish();
             let id = self.nodes[i].id;
             self.apply_outgoing(id, out);
             self.apply_effects(id, effects);
         }
         // An entirely clean machine commits immediately.
-        if self.create_done == self.ring.alive_count() && self.deliver_pending == 0 {
-            self.do_commit();
-        }
+        self.make_progress();
     }
 
-    fn do_commit(&mut self) {
-        debug_assert_eq!(self.phase, Phase::Create);
+    /// Commits the establishment begun at `since`.
+    fn do_commit(&mut self, since: Cycles) {
         let commit_start = self.queue.now();
-        self.metrics.t_create += commit_start - self.ckpt_start;
-        self.gen += 1;
+        self.metrics.t_create += commit_start - since;
+        let gen = self.coord.commit();
         self.metrics.checkpoints += 1;
         self.observer
-            .checkpoint_committed(commit_start, self.gen, &mut self.metrics);
+            .checkpoint_committed(commit_start, gen, &mut self.metrics);
 
-        let mut max_dur = 0;
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].alive {
-                continue;
-            }
-            let stats = ckpt::commit_node(&mut self.nodes[i], &self.cfg.ft, self.engine.timing());
-            max_dur = max_dur.max(stats.duration);
-            self.observer
-                .node_commit(commit_start, self.nodes[i].id, stats.duration);
-            if self.proc[i] == ProcState::Paused {
-                // This processor was stopped from the establishment start
-                // until its own commit scan finished.
-                self.metrics.per_node[i].ckpt_stall_cycles +=
-                    (commit_start - self.ckpt_start) + stats.duration;
-                let node = self.nodes[i].id;
-                self.resume_paused(node, stats.duration);
+        let mut scan = vec![0; self.nodes.len()];
+        for (ns, scan) in self.nodes.iter_mut().zip(&mut scan) {
+            if ns.alive {
+                *scan = ckpt::commit_node(ns, &self.cfg.ft, self.engine.timing()).duration;
+                self.observer.node_commit(commit_start, ns.id, *scan);
             }
         }
-        self.metrics.t_commit += max_dur;
-
-        // The recovery point includes the processor (stream) state, plus
-        // any reference already emitted into an issue buffer but not yet
-        // executed — the stream snapshot counts it as consumed, so only
-        // this side record can resurrect it after a rollback.
-        self.snapshots = self.streams.iter().map(NodeStream::snapshot).collect();
-        self.pending_snap = vec![None; self.streams.len()];
-        for p in self.pending_ref.iter().flatten() {
-            self.pending_snap[p.0] = Some(p.1);
+        self.metrics.t_commit += scan.iter().copied().max().unwrap_or(0);
+        // Each paused processor was stopped from the establishment start
+        // until its own commit scan finished.
+        for i in self.procs.paused() {
+            self.metrics.per_node[i].ckpt_stall_cycles += (commit_start - since) + scan[i];
         }
+        let last_issue = self.resume_paused(|i| scan[i]);
+        let starved = self.procs.commit();
         // The committed-value oracle is always maintained (not just under
         // `verify`): the restartable-recovery copy audit needs it to
         // certify data loss on any machine.
         self.rebuild_oracle();
 
-        self.phase = Phase::Running;
-        let period = self.period();
-        let next = (self.ckpt_start + period).max(commit_start + 1);
-        self.schedule_timer(next - self.queue.now());
-    }
-
-    fn resume_paused(&mut self, node: NodeId, delay: Cycles) {
-        debug_assert_eq!(self.proc[node.index()], ProcState::Paused);
-        self.prepare_and_schedule(node, delay, self.pending_ref[node.index()].is_none());
-    }
-
-    fn period(&self) -> Cycles {
-        self.cfg
-            .ft
-            .ckpt_period_cycles()
-            .expect("timer only runs with FT enabled")
-    }
-
-    fn schedule_timer(&mut self, delay: Cycles) {
-        debug_assert!(!self.timer_in_queue, "one checkpoint timer at a time");
-        self.queue
-            .schedule(self.queue.now() + delay, Event::CkptTimer);
-        self.timer_in_queue = true;
+        // The next establishment starts a period after this one began,
+        // and strictly after this commit. A period shorter than an
+        // establishment would pause the resumed processors again before
+        // they issue: once a live processor has gone two establishments
+        // without issuing, the next one waits until they all have.
+        let floor = if starved { last_issue + 1 } else { 0 };
+        self.arm_timer(since, floor.max(commit_start + 1));
     }
 
     /// The continuous fault process has events due: apply every due
@@ -1251,10 +1014,7 @@ impl Machine {
         if self.nodes[node.index()].alive {
             return; // nothing to repair
         }
-        if self.phase != Phase::Running
-            || self.pending_repair.is_some()
-            || !self.rejoin_reaches_mesh(node)
-        {
+        if !self.coord.running() || !self.rejoin_reaches_mesh(node) {
             // Let the current checkpoint/recovery finish first — or, under
             // the continuous fault process, wait until a mesh neighbour is
             // back up: rejoining a node every live router is dead to would
@@ -1264,15 +1024,9 @@ impl Machine {
         }
         // Drain in-flight transactions (home responsibility is about to
         // move), then perform the rejoin at quiescence.
-        self.phase = Phase::Draining;
-        self.pending_repair = Some(node);
-        for i in 0..self.nodes.len() {
-            if self.proc[i] == ProcState::Ready {
-                self.proc[i] = ProcState::Paused;
-                self.epochs[i] += 1;
-            }
-        }
-        self.try_begin_create();
+        self.coord.begin_rejoin(node);
+        self.procs.pause_ready();
+        self.make_progress();
     }
 
     /// Performs the rejoin at quiescence: fresh node, ring membership,
@@ -1283,41 +1037,18 @@ impl Machine {
         self.ring.mark_alive(node);
         self.nodes[i] = NodeState::new(node, self.cfg.am, self.cfg.cache);
         self.engine.reset_node(node);
-        self.proc[i] = ProcState::Paused;
-        self.pending_ref[i] = None;
 
         // The statically assigned home range returns to the repaired node.
         recovery::rebuild_homes_from_owners(&mut self.nodes, &self.ring);
 
-        // Reclaim the node's own stream from whoever adopted it (any
-        // rollback-re-injected reference of that stream follows it home).
-        for other in 0..self.nodes.len() {
-            if other != i {
-                self.assigned[other].retain(|&s| s != i);
-                while let Some(pos) = self.carryover[other].iter().position(|&(s, _)| s == i) {
-                    let moved = self.carryover[other].remove(pos).expect("position exists");
-                    self.carryover[i].push_back(moved);
-                }
-            }
-        }
-        if !self.assigned[i].contains(&i) {
-            self.assigned[i].push(i);
-        }
+        self.procs.rejoin(node);
         self.metrics.repairs += 1;
         self.metrics.per_node[i].repairs += 1;
         self.observer
             .repaired(self.queue.now(), node, &mut self.metrics);
 
-        self.phase = Phase::Running;
-        for k in 0..self.nodes.len() {
-            if self.proc[k] == ProcState::Paused || self.proc[k] == ProcState::Done {
-                // Done nodes may have new work (the repaired node); Paused
-                // ones simply resume.
-                let id = self.nodes[k].id;
-                self.proc[k] = ProcState::Paused;
-                self.resume_paused(id, 1);
-            }
-        }
+        self.coord.resume();
+        self.resume_paused(|_| 1);
     }
 
     fn on_failure(&mut self, node: NodeId, kind: FailureKind) {
@@ -1335,9 +1066,10 @@ impl Machine {
         // so a restart never double-applies partner migration or orphan
         // re-replication. The only fault that cannot be absorbed is a
         // certified data loss, caught by the copy audit further down.
-        let was_recovering = self.phase == Phase::Recovering;
-        if was_recovering {
-            let abandoned = self.queue.now() - self.recovery_start;
+        let now = self.queue.now();
+        let mut episode = self.coord.episode();
+        let abandoned = episode.fault(now);
+        if let Some(abandoned) = abandoned {
             self.metrics.recovery_restarts += 1;
             self.metrics.phases.restart.record(abandoned);
             // The abandoned window is recovery time too; `finish_recovery`
@@ -1345,15 +1077,13 @@ impl Machine {
             self.metrics.t_recovery += abandoned;
         }
         self.metrics.failures += 1;
-        self.episode_faults += 1;
-        self.metrics.recovery_max_depth = self.metrics.recovery_max_depth.max(self.episode_faults);
-        self.recovery_start = self.queue.now();
+        self.metrics.recovery_max_depth = self.metrics.recovery_max_depth.max(episode.faults());
         let permanent = kind == FailureKind::Permanent;
         self.observer.failure(
-            self.recovery_start,
+            now,
             node,
             permanent,
-            was_recovering.then_some(self.episode_faults),
+            abandoned.map(|_| episode.faults()),
             &mut self.metrics,
         );
 
@@ -1373,20 +1103,14 @@ impl Machine {
             )
         });
         // A repair that was draining toward quiescence when this failure
-        // hit would otherwise be lost for good (the phase leaves Draining
-        // and `pending_repair` is only consumed at quiescence), wedging
-        // every later repair of the run behind it: re-queue it as a fresh
-        // request once recovery is over.
-        if let Some(r) = self.pending_repair.take() {
+        // hit would otherwise be lost for good (its drain is abandoned),
+        // wedging every later repair of the run behind it: re-queue it as
+        // a fresh request once recovery is over.
+        if let Some(r) = self.coord.purge() {
             self.queue.schedule_in(10_000, Event::Repair { node: r });
         }
-        self.deliver_pending = 0;
         if let Some(t) = &mut self.transport {
             t.reset();
-        }
-        for i in 0..self.nodes.len() {
-            self.epochs[i] += 1;
-            self.pending_ref[i] = None;
         }
 
         // 2. The failed node. A permanent loss takes its mesh router down
@@ -1396,12 +1120,11 @@ impl Machine {
             self.mesh.fail_node(node);
             self.ring.mark_dead(node);
             recovery::wipe_dead_node(&mut self.nodes[node.index()]);
-            self.proc[node.index()] = ProcState::Dead;
             // Its work is adopted by the ring successor.
             let heir = self.ring.successor(node).expect("a live node remains");
-            let work = std::mem::take(&mut self.assigned[node.index()]);
-            self.assigned[heir.index()].extend(work);
+            self.procs.retire(node, heir);
         }
+        self.procs.stop_all();
 
         // 3. Global rollback on every live node.
         let mut max_scan = 0;
@@ -1414,17 +1137,8 @@ impl Machine {
             let id = self.nodes[i].id;
             self.metrics.per_node[i].rollback_cycles += stats.duration;
             self.metrics.phases.rollback.record(stats.duration);
-            self.observer
-                .rollback_scan(self.recovery_start, id, stats.duration);
+            self.observer.rollback_scan(now, id, stats.duration);
             self.engine.reset_node(id);
-            if self.proc[i] != ProcState::Dead {
-                self.proc[i] = ProcState::Paused;
-            }
-        }
-        self.recovery_scan_end = self.recovery_start + max_scan;
-
-        for c in &mut self.refs_since_barrier {
-            *c = 0;
         }
 
         // 4. Recovery copies that were mid-injection exist twice (origin
@@ -1444,10 +1158,7 @@ impl Machine {
         );
         if let Some(&item) = audit.lost.first() {
             self.metrics.faults_unsurvivable += 1;
-            self.outcome = RecoveryOutcome::UnrecoverableDataLoss {
-                at: self.queue.now(),
-                item,
-            };
+            self.outcome = RecoveryOutcome::UnrecoverableDataLoss { at: now, item };
             self.halt();
             return;
         }
@@ -1455,26 +1166,8 @@ impl Machine {
             self.committed_values.remove(item);
         }
 
-        // 5. Processor state (streams) rewinds to the recovery point, and
-        //    references that sat in an issue buffer when that recovery
-        //    point was taken are re-injected: the restored streams will
-        //    never re-emit them. Each goes to whichever live node now
-        //    executes its stream (the ring heir after an adoption).
-        for (stream, snap) in self.streams.iter_mut().zip(&self.snapshots) {
-            stream.restore(snap);
-        }
-        for q in &mut self.carryover {
-            q.clear();
-        }
-        for (si, buffered) in self.pending_snap.iter().enumerate() {
-            if let Some(r) = buffered {
-                let owner = (0..self.nodes.len())
-                    .find(|&p| self.proc[p] != ProcState::Dead && self.assigned[p].contains(&si));
-                if let Some(p) = owner {
-                    self.carryover[p].push_back((si, *r));
-                }
-            }
-        }
+        // 5. Processor state (streams) rewinds to the recovery point.
+        self.procs.rewind();
 
         // 5. Reconfiguration: re-replicate orphaned recovery copies, then
         //    rebuild the localization pointers from the surviving primaries.
@@ -1485,37 +1178,33 @@ impl Machine {
         //    A restart re-runs the census even for a transient victim: the
         //    abandoned recovery's re-replication traffic was purged above,
         //    so items it had not yet re-paired are still singletons.
-        let orphan_lists: Vec<(NodeId, Vec<ItemId>)> = if permanent || was_recovering {
+        let orphan_lists: Vec<(NodeId, Vec<ItemId>)> = if permanent || abandoned.is_some() {
             recovery::collect_singleton_orphans(&mut self.nodes)
         } else {
             Vec::new()
         };
         recovery::rebuild_homes(&mut self.nodes, &self.ring);
 
-        self.phase = Phase::Recovering;
-        self.reconfig_done = 0;
-        self.reconfig_expected = orphan_lists.len();
+        episode.reconfigure(max_scan, orphan_lists.len());
+        self.coord.recover(episode);
         for (id, orphans) in orphan_lists {
-            let mut ctx = Ctx::new(&self.ring, self.queue.now());
+            let mut ctx = Ctx::new(&self.ring, now);
             self.engine
                 .begin_reconfig(&mut self.nodes[id.index()], orphans, &mut ctx);
             let (out, effects) = ctx.finish();
             self.apply_outgoing(id, out);
             self.apply_effects(id, effects);
         }
-        if self.reconfig_expected == 0 && self.deliver_pending == 0 {
-            self.finish_recovery();
-        }
+        self.make_progress();
     }
 
-    fn finish_recovery(&mut self) {
-        debug_assert_eq!(self.phase, Phase::Recovering);
-        let end = self.queue.now().max(self.recovery_scan_end);
-        self.metrics.t_recovery += end - self.recovery_start;
-        self.metrics
-            .phases
-            .reconfiguration
-            .record(end - self.recovery_start);
+    /// Ends `episode` once reconfiguration is over: verifies the restored
+    /// image, credits the survived faults and resumes computation.
+    fn finish_recovery(&mut self, episode: RecoveryEpisode) {
+        let now = self.queue.now();
+        let (start, end) = (episode.start(), episode.end(now));
+        self.metrics.t_recovery += end - start;
+        self.metrics.phases.reconfiguration.record(end - start);
 
         if self.cfg.verify {
             if let Err(problems) = self.verify_against_oracle() {
@@ -1527,27 +1216,16 @@ impl Machine {
 
         // The whole episode is survived at once: a restarted recovery
         // covers every fault folded into it.
-        self.metrics.faults_survived += self.episode_faults;
-        self.episode_faults = 0;
+        self.metrics.faults_survived += episode.faults();
         // Surviving (transient) victims come back up when the machine
         // resumes; permanently failed nodes stay down until repair.
         let nodes = &self.nodes;
-        self.observer.recovered(
-            self.recovery_start,
-            end,
-            |i| nodes[i].alive,
-            &mut self.metrics,
-        );
-        self.phase = Phase::Running;
-        let delay = end - self.queue.now();
-        for i in 0..self.nodes.len() {
-            if self.proc[i] == ProcState::Paused {
-                let id = self.nodes[i].id;
-                self.resume_paused(id, delay);
-            }
-        }
-        if self.cfg.ft.ckpt_period_cycles().is_some() && !self.timer_in_queue && !self.all_done() {
-            self.schedule_timer(delay + self.period());
+        self.observer
+            .recovered(start, end, |i| nodes[i].alive, &mut self.metrics);
+        self.coord.resume();
+        self.resume_paused(|_| end - now);
+        if !self.procs.all_done() {
+            self.arm_timer(end, end);
         }
     }
 
@@ -1560,8 +1238,7 @@ impl Machine {
         );
         self.halted = true;
         self.queue.clear();
-        self.deliver_pending = 0;
-        self.timer_in_queue = false;
+        self.coord.halt();
     }
 
     fn rebuild_oracle(&mut self) {
@@ -1581,13 +1258,13 @@ impl Machine {
             match &mut self.transport {
                 // Reliable transport: sequence the packet, remember it
                 // until acked, and let the retry timer repair whatever the
-                // network does to it. `deliver_pending` counts logical
-                // messages, so it rises exactly once here no matter how
-                // many copies fly. Node-local deliveries never leave the
-                // node and need no end-to-end framing.
+                // network does to it. The coordinator's in-flight count
+                // is of logical messages, so it rises exactly once here no
+                // matter how many copies fly. Node-local deliveries never
+                // leave the node and need no end-to-end framing.
                 Some(t) if o.to != from => {
                     let seq = t.open(from, o.to, o.msg, depart);
-                    self.deliver_pending += 1;
+                    self.coord.sent();
                     self.transmit(depart, from, o.to, seq);
                 }
                 // Fire-and-forget. A send can only fail once a mesh fault
@@ -1608,7 +1285,7 @@ impl Machine {
                                 sent: depart,
                             },
                         );
-                        self.deliver_pending += 1;
+                        self.coord.sent();
                     }
                     Err(_) => {
                         debug_assert!(
@@ -1686,7 +1363,7 @@ impl Machine {
             .in_flight
             .get(&(src, to, seq))
             .map_or(self.queue.now(), |e| e.sent);
-        self.deliver_pending -= 1;
+        self.coord.delivered();
         self.deliver(to, msg, sent);
     }
 
@@ -1801,35 +1478,23 @@ impl Machine {
         for e in effects {
             match e {
                 Effect::Resume { latency } => {
-                    let epoch = self.epochs[node.index()];
+                    let epoch = self.procs.epoch(node);
                     self.queue
                         .schedule(self.queue.now() + latency, Event::Resume { node, epoch });
                 }
-                Effect::CreateDone => self.create_done += 1,
-                Effect::ReconfigDone => self.reconfig_done += 1,
+                Effect::CreateDone => self.coord.node_created(),
+                Effect::ReconfigDone => self.coord.node_reconfigured(),
                 Effect::InjectionStarted { cause } => {
-                    let counted = match cause {
-                        InjectCause::Replacement => {
-                            self.metrics.injections_replacement += 1;
-                            true
-                        }
-                        InjectCause::ReadOnInvCk => {
-                            self.metrics.injections_on_read += 1;
-                            true
-                        }
-                        InjectCause::WriteOnInvCk => {
-                            self.metrics.injections_write_inv_ck += 1;
-                            true
-                        }
-                        InjectCause::WriteOnSharedCk => {
-                            self.metrics.injections_write_shared_ck += 1;
-                            true
-                        }
-                        _ => false,
+                    let m = &mut self.metrics;
+                    let counter = match cause {
+                        InjectCause::Replacement => &mut m.injections_replacement,
+                        InjectCause::ReadOnInvCk => &mut m.injections_on_read,
+                        InjectCause::WriteOnInvCk => &mut m.injections_write_inv_ck,
+                        InjectCause::WriteOnSharedCk => &mut m.injections_write_shared_ck,
+                        _ => continue,
                     };
-                    if counted {
-                        self.metrics.per_node[node.index()].injections += 1;
-                    }
+                    *counter += 1;
+                    m.per_node[node.index()].injections += 1;
                 }
                 Effect::ReplicationBytes { bytes } => {
                     self.metrics.replication_bytes += bytes;

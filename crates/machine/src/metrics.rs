@@ -1,5 +1,6 @@
 //! Run metrics: everything the paper's figures report.
 
+use ftcoma_net::NetStats;
 use ftcoma_sim::stats::Histogram;
 use ftcoma_sim::Cycles;
 
@@ -304,6 +305,14 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Copies the fabric's cumulative message, contention and detour
+    /// counters.
+    pub(crate) fn record_net(&mut self, stats: &NetStats) {
+        self.net_messages = stats.messages;
+        self.net_contention_cycles = stats.contention_cycles;
+        self.net_detour_hops = stats.detour_hops;
+    }
+
     /// Counters accumulated since `base` (used to discard warmup): every
     /// monotone counter is subtracted; `nodes` and the page-allocation
     /// gauges keep their current values.

@@ -104,12 +104,6 @@ impl ItemState {
         )
     }
 
-    /// May the local processor *write* this copy directly (without a
-    /// coherence transaction)?
-    pub fn is_writable(self) -> bool {
-        self == ItemState::Exclusive
-    }
-
     /// Is this copy part of a *current* (computation) version of the item,
     /// as opposed to recovery data?
     pub fn is_current(self) -> bool {
@@ -177,32 +171,6 @@ impl ItemState {
         }
     }
 
-    /// The `Shared-CK` state with the same replica index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has no replica index.
-    pub fn as_shared_ck(self) -> ItemState {
-        match self.replica_index() {
-            Some(1) => ItemState::SharedCk1,
-            Some(2) => ItemState::SharedCk2,
-            _ => panic!("{self:?} is not a replica state"),
-        }
-    }
-
-    /// The `Inv-CK` state with the same replica index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has no replica index.
-    pub fn as_inv_ck(self) -> ItemState {
-        match self.replica_index() {
-            Some(1) => ItemState::InvCk1,
-            Some(2) => ItemState::InvCk2,
-            _ => panic!("{self:?} is not a replica state"),
-        }
-    }
-
     /// Has the item been modified since the last recovery point, as seen
     /// from this copy? (`Exclusive` current copies and `Master-Shared`
     /// copies are the modified set the `create` phase replicates.)
@@ -242,15 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_writable_state() {
-        let writable: Vec<_> = ItemState::ALL
-            .into_iter()
-            .filter(|s| s.is_writable())
-            .collect();
-        assert_eq!(writable, vec![ItemState::Exclusive]);
-    }
-
-    #[test]
     fn inv_ck_not_readable() {
         assert!(!ItemState::InvCk1.is_readable());
         assert!(!ItemState::InvCk2.is_readable());
@@ -265,21 +224,6 @@ mod tests {
         assert!(!ItemState::SharedCk2.is_owner());
         assert!(ItemState::PreCommit1.is_owner());
         assert!(!ItemState::PreCommit2.is_owner());
-    }
-
-    #[test]
-    fn replica_transitions() {
-        assert_eq!(ItemState::SharedCk1.as_inv_ck(), ItemState::InvCk1);
-        assert_eq!(ItemState::SharedCk2.as_inv_ck(), ItemState::InvCk2);
-        assert_eq!(ItemState::PreCommit1.as_shared_ck(), ItemState::SharedCk1);
-        assert_eq!(ItemState::PreCommit2.as_shared_ck(), ItemState::SharedCk2);
-        assert_eq!(ItemState::InvCk1.as_shared_ck(), ItemState::SharedCk1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a replica state")]
-    fn replica_conversion_rejects_standard() {
-        let _ = ItemState::Shared.as_inv_ck();
     }
 
     #[test]

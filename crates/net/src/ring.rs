@@ -69,15 +69,6 @@ impl LogicalRing {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Iterates over the live nodes in index order.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| NodeId::new(i as u16))
-    }
-
     /// The next live node after `node` on the ring, or `None` if `node` is
     /// the only live node (or none are live).
     pub fn successor(&self, node: NodeId) -> Option<NodeId> {
@@ -93,24 +84,6 @@ impl LogicalRing {
             }
         }
         None
-    }
-
-    /// Walks the ring starting after `origin`, yielding up to
-    /// `alive_count()` candidate hosts, never including `origin` itself.
-    ///
-    /// This is the full traversal an injection may need before the
-    /// guarantee "an injected copy will always find a place" kicks in.
-    pub fn walk_from(&self, origin: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let n = self.alive.len();
-        let start = origin.index();
-        (1..n).filter_map(move |step| {
-            let cand = (start + step) % n;
-            if self.alive[cand] {
-                Some(NodeId::new(cand as u16))
-            } else {
-                None
-            }
-        })
     }
 }
 
@@ -147,14 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_visits_each_live_node_once_excluding_origin() {
-        let mut ring = LogicalRing::new(5);
-        ring.mark_dead(n(2));
-        let visited: Vec<_> = ring.walk_from(n(3)).collect();
-        assert_eq!(visited, vec![n(4), n(0), n(1)]);
-    }
-
-    #[test]
     fn mark_alive_restores() {
         let mut ring = LogicalRing::new(2);
         ring.mark_dead(n(1));
@@ -177,8 +142,6 @@ mod tests {
         assert_eq!(ring.successor(n(3)), Some(n(0)));
         assert_eq!(ring.successor(n(4)), Some(n(0)));
         assert_eq!(ring.alive_count(), 3);
-        let visited: Vec<_> = ring.walk_from(n(2)).collect();
-        assert_eq!(visited, vec![n(0), n(1)]);
     }
 
     // Reconfiguration edge case: failure of node 0 — the ring "head" every
@@ -193,18 +156,8 @@ mod tests {
         assert_eq!(ring.successor(n(3)), Some(n(2)));
         assert_eq!(ring.successor(n(2)), Some(n(3)));
         assert_eq!(ring.alive_count(), 2);
-        let visited: Vec<_> = ring.walk_from(n(2)).collect();
-        assert_eq!(visited, vec![n(3)]);
         // Repairing the head restores the original wraparound.
         ring.mark_alive(n(0));
         assert_eq!(ring.successor(n(3)), Some(n(0)));
-    }
-
-    #[test]
-    fn alive_nodes_in_order() {
-        let mut ring = LogicalRing::new(4);
-        ring.mark_dead(n(0));
-        let v: Vec<_> = ring.alive_nodes().collect();
-        assert_eq!(v, vec![n(1), n(2), n(3)]);
     }
 }

@@ -243,3 +243,25 @@ fn barriers_survive_failures() {
     assert_eq!(run.failures, 1);
     m.assert_invariants();
 }
+
+#[test]
+fn short_checkpoint_periods_still_make_progress() {
+    // A period shorter than an establishment used to pause every resumed
+    // processor again before it could issue, so the run never ended.
+    for freq in [1e3, 1e4, 1e5, 1e6, 1e7, 2e7] {
+        let mut m = Machine::new(MachineConfig {
+            nodes: 4,
+            refs_per_node: 200,
+            warmup_refs_per_node: 0,
+            workload: presets::water(),
+            ft: FtConfig::enabled(freq),
+            ..MachineConfig::default()
+        });
+        m.run_until(500_000);
+        assert!(
+            m.stream_progress().iter().all(|&p| p == 200),
+            "{freq} rp/s: streams stuck at {:?}",
+            m.stream_progress()
+        );
+    }
+}
