@@ -7,9 +7,9 @@
 //! 2. **Commit-scan optimisation** ("testing only the allocated pages in
 //!    the AM") — toggled via `FtConfig::optimized_commit_scan`.
 
-use ftcoma_bench::{banner, pct, run_one, Pair};
+use ftcoma_bench::{banner, pct, run_one};
 use ftcoma_core::{CommitStrategy, FtConfig};
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_net::mesh::SwitchingModel;
 use ftcoma_net::NetConfig;
 use ftcoma_workloads::presets;
@@ -27,17 +27,13 @@ fn main() {
         let mut ft_cfg = FtConfig::enabled(100.0);
         ft_cfg.reuse_shared_replica = reuse;
         let ft = run_one(&wl, 16, ft_cfg, refs, warmup);
-        let pair = Pair {
-            std: std.clone(),
-            ft,
-        };
-        let d = pair.decomposition();
+        let d = Decomposition::of(&ft, &std);
         println!(
             "reuse={:<5}  T_create={:>7}  transferred bytes={:>9}  reused={:>4.0}%",
             reuse,
             pct(d.create),
-            pair.ft.replication_bytes,
-            pair.ft.replica_reuse_fraction() * 100.0,
+            ft.replication_bytes,
+            ft.replica_reuse_fraction() * 100.0,
         );
     }
 
@@ -50,12 +46,7 @@ fn main() {
     for optimized in [true, false] {
         let mut ft_cfg = FtConfig::enabled(100.0);
         ft_cfg.optimized_commit_scan = optimized;
-        let ft = run_one(&wl, 16, ft_cfg, refs, warmup);
-        let pair = Pair {
-            std: std.clone(),
-            ft,
-        };
-        let d = pair.decomposition();
+        let d = Decomposition::of(&run_one(&wl, 16, ft_cfg, refs, warmup), &std);
         println!(
             "optimized={:<5}  T_commit={:>7}  total overhead={:>7}",
             optimized,
@@ -70,12 +61,7 @@ fn main() {
     for strategy in [CommitStrategy::Scan, CommitStrategy::GenerationCounters] {
         let mut ft_cfg = FtConfig::enabled(400.0);
         ft_cfg.commit_strategy = strategy;
-        let ft = run_one(&wl, 16, ft_cfg, refs, warmup);
-        let pair = Pair {
-            std: std.clone(),
-            ft,
-        };
-        let d = pair.decomposition();
+        let d = Decomposition::of(&run_one(&wl, 16, ft_cfg, refs, warmup), &std);
         println!(
             "{:<20?}  T_commit={:>7}  total overhead={:>7}",
             strategy,

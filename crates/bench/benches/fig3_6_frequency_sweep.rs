@@ -12,75 +12,61 @@
 //! * Fig. 6: injections per 10 000 references (paper: ≤ ~25; writes grow
 //!   with frequency and are 88–98 % on Shared-CK1 copies; reads roughly
 //!   frequency-independent).
+//!
+//! The sweep is `specs/paper-grid.json`: every row is a cell of the report
+//! `ftcoma campaign --spec specs/paper-grid.json --out` writes, and
+//! `FTCOMA_BENCH_JSON` exports that report itself.
 
-use ftcoma_bench::{
-    banner, bench_jobs, mbps, pair_json, pct, quick_mode, write_bench_json, Pair, PairPoint, NODES,
-    PAPER_FREQS,
-};
-use ftcoma_workloads::presets;
+use ftcoma_bench::{banner, mbps, paper_grid, pct, quick_mode, run, write_bench_doc};
+use ftcoma_campaign::{report, CampaignSpec};
+
+/// Quick mode (CI smoke): two workloads at two frequencies on a small
+/// mesh, long enough for a recovery point at 400 rp/s (the 100 rp/s cells
+/// establish none) — exercises the whole path, including the JSON
+/// export, in seconds.
+const QUICK_GRID: &str = r#"{
+    "name": "paper-grid-quick",
+    "seed": 1996,
+    "workloads": ["water", "mp3d"],
+    "nodes": [4],
+    "freqs": [400, 100],
+    "refs": 8000,
+    "warmup": 1000
+}"#;
 
 fn main() {
-    // Quick mode (CI smoke): two workloads at two frequencies on a small
-    // mesh with short fixed runs — exercises the whole path, including the
-    // JSON export, in seconds.
-    let (workloads, freqs, nodes) = if quick_mode() {
-        (
-            vec![presets::water(), presets::mp3d()],
-            vec![400.0, 100.0],
-            4,
-        )
+    let spec = if quick_mode() {
+        CampaignSpec::parse(QUICK_GRID).expect("the quick grid is a valid spec")
     } else {
-        (presets::all(), PAPER_FREQS.to_vec(), NODES)
+        paper_grid()
     };
-
-    let mut grid: Vec<(String, f64)> = Vec::new();
-    let mut points: Vec<PairPoint> = Vec::new();
-    for wl in &workloads {
-        for &freq in &freqs {
-            grid.push((wl.name.clone(), freq));
-            let mut point = PairPoint::new(wl, nodes, freq);
-            if quick_mode() {
-                // Long enough for at least one recovery point at 4 nodes.
-                (point.refs, point.warmup) = (8_000, 1_000);
-            }
-            points.push(point);
-        }
-    }
-    let jobs = bench_jobs();
-    eprintln!("running {} pairs on {jobs} workers ...", points.len());
-    let pairs = ftcoma_bench::run_pairs(&points, jobs);
-    let sweep: Vec<(String, f64, Pair)> = grid
-        .into_iter()
-        .zip(pairs)
-        .map(|((name, freq), pair)| (name, freq, pair))
-        .collect();
+    let cells = spec.expand();
+    let outcomes = run(&cells);
 
     // Structured export (set FTCOMA_BENCH_JSON to a directory to enable).
-    let rows = sweep
-        .iter()
-        .map(|(name, freq, pair)| pair_json(&format!("{name}@{freq}"), pair))
-        .collect();
-    match write_bench_json("fig3_6_frequency_sweep", rows) {
+    let doc = report::campaign_json(&spec, &cells, &outcomes);
+    match write_bench_doc("fig3_6_frequency_sweep", &doc) {
         Ok(Some(path)) => eprintln!("wrote {}", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("bench JSON export failed: {e}"),
     }
 
+    let sweep = report::twins(&cells, &outcomes);
     banner(
         "Fig 3: time overhead vs recovery-point frequency (16 nodes)",
         "§4.2.3, Fig. 3 — paper range: 5% best to 35% worst (Mp3d @400)",
     );
-    for (name, freq, pair) in &sweep {
-        let d = pair.decomposition();
+    for t in &sweep {
+        let d = t.decomposition;
         println!(
             "{:<10} {:>5} rp/s  create={:>6}  commit={:>6}  pollution={:>6}  total={:>6}  ckpts={}",
-            name,
-            freq,
+            t.cell.cfg.workload.name,
+            t.cell.cfg.ft.ckpt_rate_hz,
             pct(d.create),
             pct(d.commit),
             pct(d.pollution),
             pct(d.total_overhead),
-            pair.ft.checkpoints,
+            t.ft.checkpoints,
         );
     }
 
@@ -88,14 +74,14 @@ fn main() {
         "Fig 4: per-node replication throughput during establishment",
         "§4.2.3, Fig. 4 — paper: ~20 MB/s/node, Barnes ~30 MB/s effective",
     );
-    for (name, freq, pair) in &sweep {
+    for t in &sweep {
         println!(
             "{:<10} {:>5} rp/s  transferred={:>11}  effective={:>11}  reused={:>4.0}%",
-            name,
-            freq,
-            mbps(pair.ft.replication_throughput_bps(20e6)),
-            mbps(pair.ft.effective_replication_throughput_bps(20e6)),
-            pair.ft.replica_reuse_fraction() * 100.0,
+            t.cell.cfg.workload.name,
+            t.cell.cfg.ft.ckpt_rate_hz,
+            mbps(t.ft.replication_throughput_bps(20e6)),
+            mbps(t.ft.effective_replication_throughput_bps(20e6)),
+            t.ft.replica_reuse_fraction() * 100.0,
         );
     }
 
@@ -103,20 +89,20 @@ fn main() {
         "Fig 5: AM miss rates vs frequency",
         "§4.2.3, Fig. 5 — paper: negligible variation across frequencies",
     );
-    for (name, freq, pair) in &sweep {
-        let ck = if pair.ft.reads == 0 {
+    for t in &sweep {
+        let ck = if t.ft.reads == 0 {
             0.0
         } else {
-            pair.ft.shared_ck_reads as f64 / pair.ft.reads as f64
+            t.ft.shared_ck_reads as f64 / t.ft.reads as f64
         };
         println!(
             "{:<10} {:>5} rp/s  read={:>6.2}% (std {:>5.2}%)  write={:>6.2}% (std {:>5.2}%)  CK-reads={:>5.1}%",
-            name,
-            freq,
-            pair.ft.read_miss_rate() * 100.0,
-            pair.std.read_miss_rate() * 100.0,
-            pair.ft.write_miss_rate() * 100.0,
-            pair.std.write_miss_rate() * 100.0,
+            t.cell.cfg.workload.name,
+            t.cell.cfg.ft.ckpt_rate_hz,
+            t.ft.read_miss_rate() * 100.0,
+            t.std.read_miss_rate() * 100.0,
+            t.ft.write_miss_rate() * 100.0,
+            t.std.write_miss_rate() * 100.0,
             ck * 100.0,
         );
     }
@@ -125,8 +111,8 @@ fn main() {
         "Fig 6: injections per 10k references vs frequency",
         "§4.2.3, Fig. 6 — paper: <=~25 total; writes grow with rp/s, 88-98% on Shared-CK1",
     );
-    for (name, freq, pair) in &sweep {
-        let ft = &pair.ft;
+    for t in &sweep {
+        let ft = t.ft;
         let wr = ft.injections_on_write();
         let sck = if wr == 0 {
             0.0
@@ -135,8 +121,8 @@ fn main() {
         };
         println!(
             "{:<10} {:>5} rp/s  on-read={:>5.1}  on-write={:>5.1}  total={:>5.1}  S-CK1 share={:>3.0}%",
-            name,
-            freq,
+            t.cell.cfg.workload.name,
+            t.cell.cfg.ft.ckpt_rate_hz,
             ft.per_10k_refs(ft.injections_on_read),
             ft.per_10k_refs(wr),
             ft.per_10k_refs(ft.injections_total()),

@@ -4,11 +4,19 @@
 //! Paper: the overhead ranges from 1.1x to 2.6x; applications dominated by
 //! shared pages stay below 1.5x because the recovery copies reuse already
 //! allocated (replicated) pages, while private pages pay the replication.
+//!
+//! The rows are the 100 rp/s cells of `specs/paper-grid.json` and their
+//! baselines, the same cells `ftcoma campaign --spec
+//! specs/paper-grid.json` runs.
 
-use ftcoma_bench::{banner, run_pair, NODES};
-use ftcoma_workloads::presets;
+use ftcoma_bench::{banner, groups_of, paper_grid, run};
+use ftcoma_campaign::report;
 
 fn main() {
+    let cells = groups_of(&paper_grid().expand(), |c| {
+        c.is_ft() && c.cfg.ft.ckpt_rate_hz == 100.0
+    });
+    let outcomes = run(&cells);
     banner(
         "Fig 7: page allocation, ECP vs standard protocol (16 nodes)",
         "§4.2.4, Fig. 7 — paper: overhead 1.1x to 2.6x",
@@ -17,12 +25,11 @@ fn main() {
         "{:<10} {:>12} {:>12} {:>9}",
         "app", "std pages", "ECP pages", "ratio"
     );
-    for wl in presets::all() {
-        let pair = run_pair(&wl, NODES, 100.0);
-        let ratio = pair.ft.pages_allocated as f64 / pair.std.pages_allocated.max(1) as f64;
+    for t in report::twins(&cells, &outcomes) {
+        let ratio = t.ft.pages_allocated as f64 / t.std.pages_allocated.max(1) as f64;
         println!(
             "{:<10} {:>12} {:>12} {:>8.2}x",
-            wl.name, pair.std.pages_allocated, pair.ft.pages_allocated, ratio
+            t.cell.cfg.workload.name, t.std.pages_allocated, t.ft.pages_allocated, ratio
         );
         assert!(
             ratio >= 1.0,

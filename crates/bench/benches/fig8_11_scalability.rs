@@ -9,75 +9,87 @@
 //! * Fig. 10: the pollution effect stays flat or decreases;
 //! * Fig. 11: injections on writes stay constant; injections on reads
 //!   *decrease* with more processors.
+//!
+//! Each machine size is one campaign: the four workloads, scaled to a
+//! fixed-size application, each a standard/ECP twin at 100 rp/s.
 
-use ftcoma_bench::{banner, bench_jobs, mbps, pct, run_pairs, Pair, PairPoint, PAPER_SIZES};
+use ftcoma_bench::{banner, mbps, pct, run, PAPER_SIZES};
+use ftcoma_campaign::report::{self, Twin};
+use ftcoma_campaign::{CampaignSpec, Lengths};
 use ftcoma_workloads::presets;
 
-fn main() {
-    const FREQ: f64 = 100.0;
-    let (refs, warmup) = (60_000u64, 30_000u64);
-
-    let mut grid: Vec<(String, u16)> = Vec::new();
-    let mut points: Vec<PairPoint> = Vec::new();
-    for wl in presets::all() {
-        for &nodes in &PAPER_SIZES {
-            // Fixed-size application: per-node private share shrinks as the
-            // problem is split across more processors.
-            let mut scaled = wl.clone();
-            scaled.private_pages_per_node =
-                (wl.private_pages_per_node * 16 / u64::from(nodes)).max(1);
-            grid.push((wl.name.clone(), nodes));
-            points.push(PairPoint {
-                workload: scaled,
-                nodes,
-                freq_hz: FREQ,
-                refs,
-                warmup,
-            });
-        }
+/// The campaign of one machine size.
+fn spec(nodes: u16) -> CampaignSpec {
+    CampaignSpec {
+        name: format!("fig8_11-n{nodes}"),
+        // Fixed-size application: the per-node private share shrinks as
+        // the problem is split across more processors.
+        workloads: presets::all()
+            .into_iter()
+            .map(|mut wl| {
+                wl.private_pages_per_node =
+                    (wl.private_pages_per_node * 16 / u64::from(nodes)).max(1);
+                wl
+            })
+            .collect(),
+        nodes: vec![nodes],
+        freqs: vec![100.0],
+        lengths: Lengths::Fixed {
+            refs: 60_000,
+            warmup: 30_000,
+        },
+        ..CampaignSpec::default()
     }
-    let jobs = bench_jobs();
-    eprintln!("running {} pairs on {jobs} workers ...", points.len());
-    let results: Vec<(String, u16, Pair)> = grid
-        .into_iter()
-        .zip(run_pairs(&points, jobs))
-        .map(|((name, nodes), pair)| (name, nodes, pair))
+}
+
+fn main() {
+    let runs: Vec<_> = PAPER_SIZES
+        .iter()
+        .map(|&nodes| {
+            let cells = spec(nodes).expand();
+            let outcomes = run(&cells);
+            (cells, outcomes)
+        })
+        .collect();
+    let results: Vec<Twin> = runs
+        .iter()
+        .flat_map(|(cells, outcomes)| report::twins(cells, outcomes))
         .collect();
 
     banner(
         "Fig 8: T_create overhead vs number of processors (100 rp/s)",
         "§4.2.5, Fig. 8 — paper: constant or decreasing",
     );
-    print_per_size(&results, |p| pct(p.decomposition().create));
+    print_per_size(&results, |t| pct(t.decomposition.create));
 
     banner(
         "Fig 9: aggregate replication throughput vs processors",
         "§4.2.5, Fig. 9 — paper: near-linear growth (211 MB/s @9 -> 1.1 GB/s @56)",
     );
-    print_per_size(&results, |p| {
-        mbps(p.ft.aggregate_replication_throughput_bps(20e6))
+    print_per_size(&results, |t| {
+        mbps(t.ft.aggregate_replication_throughput_bps(20e6))
     });
 
     banner(
         "Fig 10: pollution effect vs number of processors",
         "§4.2.5, Fig. 10 — paper: constant or decreasing",
     );
-    print_per_size(&results, |p| pct(p.decomposition().pollution));
+    print_per_size(&results, |t| pct(t.decomposition.pollution));
 
     banner(
         "Fig 11: injections per node per 10k references vs processors",
         "§4.2.5, Fig. 11 — paper: writes constant, reads decrease",
     );
-    print_per_size(&results, |p| {
+    print_per_size(&results, |t| {
         format!(
             "r={:.1} w={:.1}",
-            p.ft.per_10k_refs(p.ft.injections_on_read),
-            p.ft.per_10k_refs(p.ft.injections_on_write())
+            t.ft.per_10k_refs(t.ft.injections_on_read),
+            t.ft.per_10k_refs(t.ft.injections_on_write())
         )
     });
 }
 
-fn print_per_size(results: &[(String, u16, Pair)], f: impl Fn(&Pair) -> String) {
+fn print_per_size(results: &[Twin], f: impl Fn(&Twin) -> String) {
     print!("{:<10}", "app");
     for &n in &PAPER_SIZES {
         print!(" {:>14}", format!("{n} nodes"));
@@ -86,12 +98,11 @@ fn print_per_size(results: &[(String, u16, Pair)], f: impl Fn(&Pair) -> String) 
     for wl in ["Barnes", "Cholesky", "Mp3d", "Water"] {
         print!("{wl:<10}");
         for &n in &PAPER_SIZES {
-            let pair = &results
+            let twin = results
                 .iter()
-                .find(|(name, size, _)| name == wl && *size == n)
-                .expect("sweep covers all points")
-                .2;
-            print!(" {:>14}", f(pair));
+                .find(|t| t.cell.cfg.workload.name == wl && t.cell.cfg.nodes == n)
+                .expect("sweep covers all points");
+            print!(" {:>14}", f(twin));
         }
         println!();
     }

@@ -8,16 +8,17 @@
 //! | write access | Inv-CK           | injection + write miss  |
 //! | write access | Shared-CK        | injection + write miss  |
 //!
-//! The access-triggered causes are measured from an ECP Mp3d run; the
-//! replacement cause is demonstrated with a deterministic page-conflict
-//! micro-scenario (`probe::force_replacement_injection`), since the
-//! full-size AM never replaces pages in the paper's experiments either
-//! ("no capacity replacements occur during the simulations").
+//! The access-triggered causes are measured from the Mp3d cell at 400
+//! rp/s of `specs/paper-grid.json` (the cell `ftcoma campaign --spec
+//! specs/paper-grid.json` runs); the replacement cause is demonstrated
+//! with a deterministic page-conflict micro-scenario
+//! (`probe::force_replacement_injection`), since the full-size AM never
+//! replaces pages in the paper's experiments either ("no capacity
+//! replacements occur during the simulations").
 
-use ftcoma_bench::banner;
-use ftcoma_core::FtConfig;
-use ftcoma_machine::{probe, Machine, MachineConfig};
-use ftcoma_workloads::presets;
+use ftcoma_bench::{banner, paper_grid};
+use ftcoma_campaign::run_cell;
+use ftcoma_machine::probe;
 
 fn main() {
     banner(
@@ -25,16 +26,13 @@ fn main() {
         "§4.1, Table 1",
     );
 
-    // Access-triggered causes: a normal Mp3d run.
-    let cfg = MachineConfig {
-        nodes: 16,
-        refs_per_node: 60_000,
-        warmup_refs_per_node: 30_000,
-        workload: presets::mp3d(),
-        ft: FtConfig::enabled(400.0),
-        ..MachineConfig::default()
-    };
-    let m = Machine::new(cfg).run();
+    // Access-triggered causes: the paper grid's Mp3d cell at 400 rp/s.
+    let cell = paper_grid()
+        .expand()
+        .into_iter()
+        .find(|c| c.is_ft() && c.cfg.workload.name == "Mp3d" && c.cfg.ft.ckpt_rate_hz == 400.0)
+        .expect("the paper grid runs Mp3d at 400 rp/s");
+    let m = run_cell(&cell).metrics;
 
     // Replacement-triggered cause: deterministic page-set conflict.
     let demo = probe::force_replacement_injection();

@@ -2,13 +2,19 @@
 //!
 //! Every table and figure of the paper's evaluation (§4.2) has a dedicated
 //! bench target in `benches/` (custom harnesses, run with `cargo bench`);
-//! this library holds the common machinery: paired standard/ECP runs with
-//! identical seeds, the execution-time decomposition, run-length scaling
-//! for low checkpoint frequencies, and plain-text table printing.
+//! this library holds the common machinery: the paper's campaign grid,
+//! cell selection and execution on [`ftcoma_campaign`]'s worker pool,
+//! run-length scaling for low checkpoint frequencies, and plain-text table
+//! printing.
 //!
-//! The grid-shaped benches (Figs. 3–6, 8–11) run their points on
-//! [`ftcoma_campaign`]'s worker pool via [`run_pairs`] — results are
-//! identical at any parallelism, so `cargo bench` uses every core.
+//! The figure benches are views of campaign cells. Figs. 3–7 and Table 1
+//! expand `specs/paper-grid.json`, the spec `ftcoma campaign --spec
+//! specs/paper-grid.json` runs, so a bench and the campaign report see the
+//! same cells with the same derived seeds; Figs. 8–11 build one spec per
+//! machine size. Standard/ECP twins and Fig. 3's decomposition come from
+//! [`ftcoma_campaign::report::twin`], the one place the workspace pairs
+//! them. Results are identical at any parallelism, so `cargo bench` uses
+//! every core.
 //!
 //! Absolute numbers will not match the paper (different workload substrate
 //! — see DESIGN.md §4); the *shapes* are the reproduction target and
@@ -16,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ftcoma_campaign::{run_cells, Cell, Scenario};
+use ftcoma_campaign::{run_cells, CampaignSpec, Cell, CellOutcome};
 use ftcoma_core::FtConfig;
 use ftcoma_machine::{export, Machine, MachineConfig, RunMetrics};
 use ftcoma_sim::Json;
@@ -24,14 +30,29 @@ use ftcoma_workloads::SplashConfig;
 
 pub use ftcoma_campaign::lengths_for;
 
-/// The recovery-point frequencies of Fig. 3 (per simulated second).
-pub const PAPER_FREQS: [f64; 5] = [400.0, 200.0, 100.0, 50.0, 5.0];
-
 /// The machine sizes of the scalability figures (Figs. 8–11).
 pub const PAPER_SIZES: [u16; 5] = [9, 16, 30, 42, 56];
 
-/// Default node count (the paper's 4×4 mesh).
-pub const NODES: u16 = 16;
+/// The paper's Fig. 3–6 grid, `specs/paper-grid.json`: four workloads on
+/// 16 nodes at 400, 200, 100, 50 and 5 recovery points per second, paper
+/// run lengths. Select cells after [`CampaignSpec::expand`]; editing the
+/// spec would move the group ids, and with them the seeds.
+pub fn paper_grid() -> CampaignSpec {
+    CampaignSpec::parse(include_str!("../../../specs/paper-grid.json"))
+        .expect("specs/paper-grid.json is a valid campaign spec")
+}
+
+/// The cells of every baseline group that holds a cell `pick` selects:
+/// the selected ECP cells together with the baselines they are decomposed
+/// against.
+pub fn groups_of(cells: &[Cell], pick: impl Fn(&Cell) -> bool) -> Vec<Cell> {
+    let groups: Vec<u64> = cells.iter().filter(|c| pick(c)).map(|c| c.group).collect();
+    cells
+        .iter()
+        .filter(|c| groups.contains(&c.group))
+        .cloned()
+        .collect()
+}
 
 /// Worker count for the parallel benches: one per core, overridable with
 /// `FTCOMA_BENCH_JOBS` (useful to pin `cargo bench` runs for timing).
@@ -48,6 +69,14 @@ pub fn bench_jobs() -> usize {
 /// the `FTCOMA_BENCH_JSON` export) in seconds.
 pub fn quick_mode() -> bool {
     std::env::var_os("FTCOMA_BENCH_QUICK").is_some()
+}
+
+/// Runs `cells` on [`bench_jobs`] campaign workers and returns their
+/// outcomes in cell order.
+pub fn run(cells: &[Cell]) -> Vec<CellOutcome> {
+    let jobs = bench_jobs();
+    eprintln!("running {} cells on {jobs} workers ...", cells.len());
+    run_cells(cells, jobs)
 }
 
 /// Runs one machine configuration to completion.
@@ -69,152 +98,6 @@ pub fn run_one(
     Machine::new(cfg).run()
 }
 
-/// A paired baseline/ECP measurement with identical seed and run length.
-#[derive(Debug, Clone)]
-pub struct Pair {
-    /// Standard-protocol run.
-    pub std: RunMetrics,
-    /// ECP run.
-    pub ft: RunMetrics,
-}
-
-/// One grid point of a paired bench: a fully specified standard/ECP twin.
-#[derive(Debug, Clone)]
-pub struct PairPoint {
-    /// Workload configuration (already scaled if the bench scales it).
-    pub workload: SplashConfig,
-    /// Machine size.
-    pub nodes: u16,
-    /// ECP recovery-point frequency.
-    pub freq_hz: f64,
-    /// Measured references per node.
-    pub refs: u64,
-    /// Warmup references per node.
-    pub warmup: u64,
-}
-
-impl PairPoint {
-    /// A point with run lengths derived from the frequency via
-    /// [`lengths_for`].
-    pub fn new(workload: &SplashConfig, nodes: u16, freq_hz: f64) -> Self {
-        let (refs, warmup) = lengths_for(freq_hz);
-        PairPoint {
-            workload: workload.clone(),
-            nodes,
-            freq_hz,
-            refs,
-            warmup,
-        }
-    }
-
-    fn cell(&self, id: u64, group: u64, ft: FtConfig) -> Cell {
-        let mode = if ft.mode.is_enabled() { "ft" } else { "std" };
-        Cell {
-            id,
-            group,
-            label: format!(
-                "{}/n{}/f{}/{mode}",
-                self.workload.name, self.nodes, self.freq_hz
-            ),
-            cfg: MachineConfig {
-                nodes: self.nodes,
-                refs_per_node: self.refs,
-                warmup_refs_per_node: self.warmup,
-                workload: self.workload.clone(),
-                ft,
-                ..MachineConfig::default()
-            },
-            scenario: Scenario::none(),
-        }
-    }
-}
-
-/// Runs every point's standard/ECP twin on `jobs` campaign workers and
-/// returns the pairs in point order. Both halves of a pair share the
-/// default seed and run length, exactly as [`run_pair`] pairs them; the
-/// parallelism cannot affect the numbers.
-pub fn run_pairs(points: &[PairPoint], jobs: usize) -> Vec<Pair> {
-    let cells: Vec<Cell> = points
-        .iter()
-        .enumerate()
-        .flat_map(|(i, p)| {
-            let (i, base) = (i as u64, 2 * i as u64);
-            [
-                p.cell(base, i, FtConfig::disabled()),
-                p.cell(base + 1, i, FtConfig::enabled(p.freq_hz)),
-            ]
-        })
-        .collect();
-    let outcomes = run_cells(&cells, jobs);
-    outcomes
-        .chunks_exact(2)
-        .map(|twin| Pair {
-            std: twin[0].metrics.clone(),
-            ft: twin[1].metrics.clone(),
-        })
-        .collect()
-}
-
-/// Runs the standard and ECP machines over the same workload and seed.
-pub fn run_pair(workload: &SplashConfig, nodes: u16, freq_hz: f64) -> Pair {
-    run_pairs(&[PairPoint::new(workload, nodes, freq_hz)], 1)
-        .pop()
-        .expect("one point in, one pair out")
-}
-
-/// Fig. 3's execution-time decomposition, as fractions of the standard
-/// execution time.
-#[derive(Debug, Clone, Copy)]
-pub struct Decomposition {
-    /// `T_ft / T_standard - 1`.
-    pub total_overhead: f64,
-    /// `T_create / T_standard`.
-    pub create: f64,
-    /// `T_commit / T_standard`.
-    pub commit: f64,
-    /// `T_pollution / T_standard` (may be slightly negative: simulation
-    /// noise when the pollution effect is ~0).
-    pub pollution: f64,
-}
-
-impl Pair {
-    /// Computes the decomposition `T_ft = T_std + T_create + T_commit +
-    /// T_pollution`.
-    pub fn decomposition(&self) -> Decomposition {
-        let t_std = self.std.total_cycles as f64;
-        let t_ft = self.ft.total_cycles as f64;
-        let create = self.ft.t_create as f64;
-        let commit = self.ft.t_commit as f64;
-        Decomposition {
-            total_overhead: t_ft / t_std - 1.0,
-            create: create / t_std,
-            commit: commit / t_std,
-            pollution: (t_ft - t_std - create - commit) / t_std,
-        }
-    }
-}
-
-/// One labeled pair as a JSON row: the Fig. 3 decomposition plus both
-/// runs' metrics documents ([`export::metrics_json`], the document the
-/// CLI's `--json` prints).
-pub fn pair_json(label: &str, pair: &Pair) -> Json {
-    let d = pair.decomposition();
-    Json::obj([
-        ("label", Json::from(label)),
-        (
-            "decomposition",
-            Json::obj([
-                ("total_overhead", Json::from(d.total_overhead)),
-                ("create", Json::from(d.create)),
-                ("commit", Json::from(d.commit)),
-                ("pollution", Json::from(d.pollution)),
-            ]),
-        ),
-        ("std", export::metrics_json(&pair.std, &[])),
-        ("ft", export::metrics_json(&pair.ft, &[])),
-    ])
-}
-
 /// Assembles a versioned bench document from labeled rows.
 pub fn bench_doc(id: &str, rows: Vec<Json>) -> Json {
     Json::obj([
@@ -224,30 +107,44 @@ pub fn bench_doc(id: &str, rows: Vec<Json>) -> Json {
     ])
 }
 
+fn write_doc_to(dir: &Path, id: &str, doc: &Json) -> std::io::Result<PathBuf> {
+    let path = dir.join(format!("BENCH_{id}.json"));
+    let mut text = doc.to_string_pretty();
+    text.push('\n');
+    std::fs::write(&path, text)?;
+    Ok(path)
+}
+
 /// Writes `BENCH_<id>.json` into `dir` and returns its path.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the write.
 pub fn write_bench_json_to(dir: &Path, id: &str, rows: Vec<Json>) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{id}.json"));
-    let mut text = bench_doc(id, rows).to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text)?;
-    Ok(path)
+    write_doc_to(dir, id, &bench_doc(id, rows))
 }
 
-/// Env-gated bench export: when `FTCOMA_BENCH_JSON` names a directory,
-/// writes `BENCH_<id>.json` there and returns the path; otherwise a no-op.
+/// Env-gated bench export of a whole document: when `FTCOMA_BENCH_JSON`
+/// names a directory, writes `doc` there as `BENCH_<id>.json` and returns
+/// the path; otherwise a no-op.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the write.
+pub fn write_bench_doc(id: &str, doc: &Json) -> std::io::Result<Option<PathBuf>> {
+    match std::env::var_os("FTCOMA_BENCH_JSON") {
+        None => Ok(None),
+        Some(dir) => write_doc_to(Path::new(&dir), id, doc).map(Some),
+    }
+}
+
+/// [`write_bench_doc`] of the [`bench_doc`] built from `rows`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the write.
 pub fn write_bench_json(id: &str, rows: Vec<Json>) -> std::io::Result<Option<PathBuf>> {
-    match std::env::var_os("FTCOMA_BENCH_JSON") {
-        None => Ok(None),
-        Some(dir) => write_bench_json_to(Path::new(&dir), id, rows).map(Some),
-    }
+    write_bench_doc(id, &bench_doc(id, rows))
 }
 
 /// Prints a benchmark banner.
@@ -270,7 +167,7 @@ pub fn mbps(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcoma_workloads::presets;
+    use ftcoma_campaign::report;
 
     #[test]
     fn lengths_scale_with_period() {
@@ -283,18 +180,55 @@ mod tests {
     }
 
     #[test]
-    fn pair_decomposition_adds_up() {
-        let pair = run_pair(&presets::water(), 4, 400.0);
-        let d = pair.decomposition();
-        let recomposed = d.create + d.commit + d.pollution;
-        assert!((recomposed - d.total_overhead).abs() < 1e-9);
-        assert!(pair.ft.checkpoints > 0);
+    fn paper_grid_is_the_shipped_spec() {
+        let cells = paper_grid().expand();
+        // 4 workloads x 5 frequencies, each its own baseline group.
+        assert_eq!(cells.len(), 40);
+        assert_eq!(cells.iter().filter(|c| c.is_ft()).count(), 20);
+        // Picking the 100 rp/s cells brings their four baselines along.
+        let picked = groups_of(&cells, |c| c.is_ft() && c.cfg.ft.ckpt_rate_hz == 100.0);
+        assert_eq!(picked.len(), 8);
+        assert_eq!(picked.iter().filter(|c| c.is_ft()).count(), 4);
+    }
+
+    #[test]
+    fn figure_rows_are_the_reports_decompositions() {
+        let spec = CampaignSpec::parse(
+            r#"{"name": "bench-unit", "workloads": ["water"], "nodes": [4],
+                "freqs": [400, 100], "refs": 8000, "warmup": 1000}"#,
+        )
+        .unwrap();
+        let cells = spec.expand();
+        let outcomes = run(&cells);
+        let twins = report::twins(&cells, &outcomes);
+        assert_eq!(twins.len(), 2);
+        assert!(
+            twins[0].ft.checkpoints > 0,
+            "400 rp/s establishes recovery points"
+        );
+        let doc = report::campaign_json(&spec, &cells, &outcomes);
+        let rows = doc.get("cells").and_then(Json::as_array).unwrap();
+        for t in &twins {
+            let d = rows[t.cell.id as usize].get("decomposition").unwrap();
+            let field = |k: &str| d.get(k).and_then(Json::as_f64).unwrap();
+            assert_eq!(field("total_overhead"), t.decomposition.total_overhead);
+            assert_eq!(field("create"), t.decomposition.create);
+            assert_eq!(field("commit"), t.decomposition.commit);
+            assert_eq!(field("pollution"), t.decomposition.pollution);
+        }
+        // A selection runs the same cells: its rows match the full run's.
+        let picked = vec![cells[0].clone(), cells[2].clone()];
+        let picked_out = run(&picked);
+        let t100 = report::twins(&picked, &picked_out);
+        assert_eq!(t100.len(), 1);
+        assert_eq!(t100[0].cell.cfg.ft.ckpt_rate_hz, 100.0);
+        assert_eq!(t100[0].decomposition, twins[1].decomposition);
     }
 
     #[test]
     fn bench_json_round_trips() {
-        let pair = run_pair(&presets::water(), 4, 400.0);
-        let doc = bench_doc("unit_test", vec![pair_json("water@400", &pair)]);
+        let row = || Json::obj([("label", Json::from("water@400"))]);
+        let doc = bench_doc("unit_test", vec![row()]);
         let parsed = Json::parse(&doc.to_string_pretty()).unwrap();
         assert_eq!(
             parsed.get("schema_version").and_then(|v| v.as_u64()),
@@ -304,25 +238,15 @@ mod tests {
             parsed.get("bench").and_then(|v| v.as_str()),
             Some("unit_test")
         );
-        let row = &parsed.get("rows").unwrap().as_array().unwrap()[0];
-        assert_eq!(row.get("label").and_then(|v| v.as_str()), Some("water@400"));
-        assert!(row
-            .get("decomposition")
-            .and_then(|d| d.get("create"))
-            .is_some());
-        // Each run is embedded as its full metrics document.
-        for (key, run) in [("std", &pair.std), ("ft", &pair.ft)] {
-            assert_eq!(
-                row.get(key).unwrap().to_string_pretty(),
-                export::metrics_json(run, &[]).to_string_pretty(),
-                "{key} row is not the run's metrics document"
-            );
-        }
+        let back = &parsed.get("rows").unwrap().as_array().unwrap()[0];
+        assert_eq!(
+            back.get("label").and_then(|v| v.as_str()),
+            Some("water@400")
+        );
         let dir = std::env::temp_dir();
-        let path =
-            write_bench_json_to(&dir, "unit_test", vec![pair_json("water@400", &pair)]).unwrap();
+        let path = write_bench_json_to(&dir, "unit_test", vec![row()]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(Json::parse(&text).is_ok());
+        assert_eq!(text, format!("{}\n", doc.to_string_pretty()));
         let _ = std::fs::remove_file(path);
     }
 }

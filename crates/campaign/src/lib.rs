@@ -5,7 +5,7 @@
 //! frequencies × failure scenarios. This crate expands such a grid from a
 //! declarative spec into flat [`Cell`]s, runs them on a `std::thread`
 //! worker pool, and aggregates everything into one versioned JSON report
-//! (`schema_version` 6). Host wall-clock timings stay out of the report;
+//! (`schema_version` 7). Host wall-clock timings stay out of the report;
 //! [`report::timing_json`] builds them as a separate sidecar document.
 //!
 //! Determinism is the design center: every cell's RNG seed is derived from

@@ -1,43 +1,82 @@
 //! The campaign report: one versioned JSON document aggregating every
 //! cell's metrics, link report and overhead decomposition.
 //!
-//! The document is `schema_version` 5 (see
+//! The document is `schema_version` 7 (see
 //! [`ftcoma_machine::export::SCHEMA_VERSION`]); cells appear in id order
 //! regardless of the order workers finished them, and every field is a
 //! pure function of the spec — the property the CI `determinism` job
 //! checks by byte-diffing `--jobs 1` against `--jobs 4` output. Wall-clock
 //! timings live in a separate sidecar document ([`timing_json`]) that is
 //! exempt from the comparison.
+//!
+//! [`twin`] is the one place a standard-protocol run is paired with its
+//! ECP twin: the report, the CLI's `campaign` and `sweep` summaries and
+//! the figure benches all read Fig. 3's decomposition through it.
 
-use ftcoma_machine::{export, PhaseLatency, RunMetrics};
+use ftcoma_machine::{export, Decomposition, PhaseLatency, RunMetrics};
 use ftcoma_sim::Json;
 
 use crate::runner::CellOutcome;
 use crate::spec::{CampaignSpec, Cell, ScenarioKind};
 
-/// The execution-time decomposition of one ECP cell against its group's
-/// standard-protocol baseline (`T_ft = T_std + T_create + T_commit +
-/// T_pollution`, fractions of `T_std`).
-fn decomposition_json(ft: &RunMetrics, std: &RunMetrics) -> Json {
-    let t_std = std.total_cycles as f64;
-    let t_ft = ft.total_cycles as f64;
-    let create = ft.t_create as f64;
-    let commit = ft.t_commit as f64;
+/// An ECP cell paired with its group's standard-protocol baseline: the
+/// two runs share seed and run length, so their difference is the cost
+/// of fault tolerance.
+#[derive(Debug, Clone, Copy)]
+pub struct Twin<'a> {
+    /// The ECP cell.
+    pub cell: &'a Cell,
+    /// The ECP cell's metrics.
+    pub ft: &'a RunMetrics,
+    /// The group baseline's metrics.
+    pub std: &'a RunMetrics,
+    /// `ft` decomposed against `std`.
+    pub decomposition: Decomposition,
+}
+
+/// Cell `i` paired with its group's baseline, the first standard-protocol
+/// cell of the same group; `None` for a baseline cell and for an ECP cell
+/// whose group has no baseline. `outcomes[j]` must be cell `j`'s.
+pub fn twin<'a>(cells: &'a [Cell], outcomes: &'a [CellOutcome], i: usize) -> Option<Twin<'a>> {
+    let cell = &cells[i];
+    if !cell.is_ft() {
+        return None;
+    }
+    let std = cells
+        .iter()
+        .zip(outcomes)
+        .find(|(c, _)| c.group == cell.group && !c.is_ft())
+        .map(|(_, o)| &o.metrics)?;
+    let ft = &outcomes[i].metrics;
+    Some(Twin {
+        cell,
+        ft,
+        std,
+        decomposition: Decomposition::of(ft, std),
+    })
+}
+
+/// Every [`twin`] of a campaign run, in cell order.
+pub fn twins<'a>(cells: &'a [Cell], outcomes: &'a [CellOutcome]) -> Vec<Twin<'a>> {
+    (0..cells.len())
+        .filter_map(|i| twin(cells, outcomes, i))
+        .collect()
+}
+
+/// A decomposition as the report's `decomposition` object.
+fn decomposition_json(d: &Decomposition) -> Json {
     Json::obj([
-        ("total_overhead", Json::from(t_ft / t_std - 1.0)),
-        ("create", Json::from(create / t_std)),
-        ("commit", Json::from(commit / t_std)),
-        (
-            "pollution",
-            Json::from((t_ft - t_std - create - commit) / t_std),
-        ),
+        ("total_overhead", Json::from(d.total_overhead)),
+        ("create", Json::from(d.create)),
+        ("commit", Json::from(d.commit)),
+        ("pollution", Json::from(d.pollution)),
     ])
 }
 
 /// One cell's row in the report: identity, configuration summary,
-/// decomposition (ECP cells with a baseline in their group) and the full
-/// embedded metrics document.
-pub fn cell_json(cell: &Cell, outcome: &CellOutcome, baseline: Option<&RunMetrics>) -> Json {
+/// decomposition (ECP cells with a baseline in their group; see [`twin`])
+/// and the full embedded metrics document.
+pub fn cell_json(cell: &Cell, outcome: &CellOutcome, decomposition: Option<Decomposition>) -> Json {
     let freq = if cell.is_ft() {
         Json::from(cell.cfg.ft.ckpt_rate_hz)
     } else {
@@ -48,10 +87,7 @@ pub fn cell_json(cell: &Cell, outcome: &CellOutcome, baseline: Option<&RunMetric
     } else {
         cell.scenario.to_json()
     };
-    let decomposition = match (cell.is_ft(), baseline) {
-        (true, Some(std)) => decomposition_json(&outcome.metrics, std),
-        _ => Json::Null,
-    };
+    let decomposition = decomposition.map_or(Json::Null, |d| decomposition_json(&d));
     Json::obj([
         ("id", Json::from(cell.id)),
         ("group", Json::from(cell.group)),
@@ -90,20 +126,9 @@ pub fn cell_json(cell: &Cell, outcome: &CellOutcome, baseline: Option<&RunMetric
 /// Panics if `cells` and `outcomes` disagree in length or ids.
 pub fn campaign_json(spec: &CampaignSpec, cells: &[Cell], outcomes: &[CellOutcome]) -> Json {
     assert_eq!(cells.len(), outcomes.len(), "one outcome per cell");
-    // Group id -> baseline metrics, for the decompositions.
-    let baselines: Vec<(u64, &RunMetrics)> = cells
-        .iter()
-        .zip(outcomes)
-        .filter(|(c, _)| !c.is_ft())
-        .map(|(c, o)| (c.group, &o.metrics))
-        .collect();
-    let rows = cells.iter().zip(outcomes).map(|(c, o)| {
+    let rows = cells.iter().zip(outcomes).enumerate().map(|(i, (c, o))| {
         assert_eq!(c.id, o.cell_id, "outcomes out of order");
-        let baseline = baselines
-            .iter()
-            .find(|(g, _)| *g == c.group)
-            .map(|(_, m)| *m);
-        cell_json(c, o, baseline)
+        cell_json(c, o, twin(cells, outcomes, i).map(|t| t.decomposition))
     });
 
     let mut totals = RunMetrics::default();

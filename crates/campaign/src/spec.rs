@@ -237,16 +237,24 @@ impl Scenario {
         }
     }
 
-    /// Checks that the scenario fits an `n`-node machine: every node it
-    /// targets exists and a cut link joins mesh-adjacent nodes. Campaign
-    /// specs check each scenario against each node count; a chaos replay
-    /// checks its artifact's scenario against the artifact's machine.
+    /// The one scenario check: the scenario's values are consistent and it
+    /// fits an `n`-node machine.
+    ///
+    /// The value rules hold on any machine: scripted faults need a positive
+    /// `at`; `repair_at` belongs to permanent faults and comes after `at`;
+    /// a continuous process needs at least one MTBF and every MTBF its
+    /// MTTR; plus the back-to-back, nested, link-cut and message-loss
+    /// rules. Fitting means every node the scenario targets exists and a
+    /// cut link joins mesh-adjacent nodes. Campaign specs check each
+    /// scenario against each node count, a chaos replay its artifact's
+    /// scenario against the artifact's machine, and `ftcoma run` and
+    /// `ftcoma failure` theirs against the command line's.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] naming the first node or link that does not
-    /// fit.
+    /// Returns a [`SpecError`] naming the first rule the scenario breaks.
     pub fn validate_for(&self, n: u16) -> Result<(), SpecError> {
+        self.check_values()?;
         if self.kind != ScenarioKind::None && self.node >= n {
             return Err(err(format!(
                 "scenario targets node {} but the machine has only {n} nodes",
@@ -283,6 +291,104 @@ impl Scenario {
             }
             _ => Ok(()),
         }
+    }
+
+    /// The value rules of [`Scenario::validate_for`], which need no
+    /// machine; [`Scenario::from_json`] applies them on their own.
+    fn check_values(&self) -> Result<(), SpecError> {
+        let (node, at) = (self.node, self.at);
+        if self.repair_at.is_some() && self.kind != ScenarioKind::Permanent {
+            return Err(err("`repair_at` only applies to permanent failures"));
+        }
+        if let Some(r) = self.repair_at {
+            if r <= at {
+                return Err(err(format!(
+                    "`repair_at` ({r}) must come strictly after the failure at {at}"
+                )));
+            }
+        }
+        match self.kind {
+            ScenarioKind::BackToBack { gap, second_node } => {
+                if gap == 0 {
+                    return Err(err("back_to_back `gap` must be positive"));
+                }
+                if second_node == node {
+                    return Err(err(
+                        "back_to_back `second_node` must differ from the (dead) first victim",
+                    ));
+                }
+            }
+            ScenarioKind::Nested {
+                gap,
+                second_node,
+                gap2,
+                third_node,
+                permanent_mask,
+            } => {
+                if gap == 0 {
+                    return Err(err("nested `gap` must be positive"));
+                }
+                if second_node == node {
+                    return Err(err(
+                        "nested `second_node` must differ from the first victim",
+                    ));
+                }
+                if gap2 > 0 && (third_node == node || third_node == second_node) {
+                    return Err(err(
+                        "nested `third_node` must differ from the earlier victims",
+                    ));
+                }
+                if permanent_mask > 0b111 {
+                    return Err(err("nested `permanent_mask` has only three fault bits"));
+                }
+                if gap2 == 0 && permanent_mask & 0b100 != 0 {
+                    return Err(err(
+                        "nested `permanent_mask` marks the third fault but `gap2` is 0",
+                    ));
+                }
+                if permanent_mask.count_ones() > 1 {
+                    return Err(err(
+                        "nested `permanent_mask` may set at most one bit (more permanent kills \
+                         could partition the mesh)",
+                    ));
+                }
+            }
+            ScenarioKind::LinkCut { to_node } if to_node == node => {
+                return Err(err("link_cut `to_node` must differ from `node`"));
+            }
+            ScenarioKind::MessageLoss { rate } if !(1..=999).contains(&rate) => {
+                return Err(err("message_loss `rate` must be 1..=999 per-mille"));
+            }
+            ScenarioKind::Continuous {
+                node_mtbf,
+                node_mttr,
+                link_mtbf,
+                link_mttr,
+            } => {
+                if node_mtbf == 0 && link_mtbf == 0 {
+                    return Err(err(
+                        "continuous scenario needs `node_mtbf` and/or `link_mtbf`",
+                    ));
+                }
+                if node_mtbf > 0 && node_mttr == 0 {
+                    return Err(err("continuous `node_mtbf` needs a positive `node_mttr`"));
+                }
+                if link_mtbf > 0 && link_mttr == 0 {
+                    return Err(err("continuous `link_mtbf` needs a positive `link_mttr`"));
+                }
+            }
+            _ => {}
+        }
+        // Continuous scenarios may start at 0 (`at` is a start offset, not a
+        // fault time); every scripted fault needs a positive injection cycle.
+        let scripted = !matches!(
+            self.kind,
+            ScenarioKind::None | ScenarioKind::Continuous { .. }
+        );
+        if scripted && at == 0 {
+            return Err(err("scenario `at` must be positive"));
+        }
+        Ok(())
     }
 
     /// Parses the object form produced by [`Scenario::to_json`] — the
@@ -443,11 +549,7 @@ impl Default for CampaignSpec {
 }
 
 fn workload_by_name(name: &str) -> Result<SplashConfig, SpecError> {
-    presets::all()
-        .into_iter()
-        .chain(presets::micros())
-        .find(|w| w.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| err(format!("unknown workload `{name}`")))
+    presets::by_name(name).ok_or_else(|| err(format!("unknown workload `{name}`")))
 }
 
 fn as_u64(v: &Json, key: &str) -> Result<u64, SpecError> {
@@ -586,131 +688,56 @@ fn parse_scenario(v: &Json) -> Result<Scenario, SpecError> {
             )))
         }
     };
-    if repair_at.is_some() && kind != ScenarioKind::Permanent {
-        return Err(err("`repair_at` only applies to permanent failures"));
-    }
-    if let Some(r) = repair_at {
-        if r <= at {
-            return Err(err(format!(
-                "`repair_at` ({r}) must come strictly after the failure at {at}"
-            )));
+    // Key-presence rules: each optional key belongs to the kinds that read
+    // it. The value rules live in `Scenario::check_values`.
+    let keys_only_for = |keys: &[&str], applies: bool, msg: &str| {
+        if !applies && keys.iter().any(|k| v.get(k).is_some()) {
+            Err(err(msg))
+        } else {
+            Ok(())
         }
-    }
-    if matches!(kind, ScenarioKind::Cycle { .. }) {
-        // period/count defaults applied above; nothing more to check here.
-    } else if v.get("period").is_some() || v.get("count").is_some() {
-        return Err(err("`period`/`count` only apply to cycle scenarios"));
-    }
-    if let ScenarioKind::BackToBack { gap, second_node } = kind {
-        if gap == 0 {
-            return Err(err("back_to_back `gap` must be positive"));
-        }
-        if second_node == node {
-            return Err(err(
-                "back_to_back `second_node` must differ from the (dead) first victim",
-            ));
-        }
-    } else if !matches!(kind, ScenarioKind::Nested { .. })
-        && (v.get("gap").is_some() || v.get("second_node").is_some())
-    {
-        return Err(err(
-            "`gap`/`second_node` only apply to back_to_back and nested scenarios",
-        ));
-    }
-    if let ScenarioKind::Nested {
-        gap,
-        second_node,
-        gap2,
-        third_node,
-        permanent_mask,
-    } = kind
-    {
-        if gap == 0 {
-            return Err(err("nested `gap` must be positive"));
-        }
-        if second_node == node {
-            return Err(err(
-                "nested `second_node` must differ from the first victim",
-            ));
-        }
-        if gap2 > 0 && (third_node == node || third_node == second_node) {
-            return Err(err(
-                "nested `third_node` must differ from the earlier victims",
-            ));
-        }
-        if permanent_mask > 0b111 {
-            return Err(err("nested `permanent_mask` has only three fault bits"));
-        }
-        if gap2 == 0 && permanent_mask & 0b100 != 0 {
-            return Err(err(
-                "nested `permanent_mask` marks the third fault but `gap2` is 0",
-            ));
-        }
-        if permanent_mask.count_ones() > 1 {
-            return Err(err(
-                "nested `permanent_mask` may set at most one bit (more permanent kills \
-                 could partition the mesh)",
-            ));
-        }
-    } else if ["gap2", "third_node", "permanent_mask"]
-        .iter()
-        .any(|k| v.get(k).is_some())
-    {
-        return Err(err(
-            "`gap2`/`third_node`/`permanent_mask` only apply to nested scenarios",
-        ));
-    }
-    if let ScenarioKind::LinkCut { to_node } = kind {
-        if to_node == node {
-            return Err(err("link_cut `to_node` must differ from `node`"));
-        }
-    } else if v.get("to_node").is_some() {
-        return Err(err("`to_node` only applies to link_cut scenarios"));
-    }
-    if let ScenarioKind::MessageLoss { rate } = kind {
-        if !(1..=999).contains(&rate) {
-            return Err(err("message_loss `rate` must be 1..=999 per-mille"));
-        }
-    } else if v.get("rate").is_some() {
-        return Err(err("`rate` only applies to message_loss scenarios"));
-    }
-    if let ScenarioKind::Continuous {
-        node_mtbf,
-        node_mttr,
-        link_mtbf,
-        link_mttr,
-    } = kind
-    {
-        if node_mtbf == 0 && link_mtbf == 0 {
-            return Err(err(
-                "continuous scenario needs `node_mtbf` and/or `link_mtbf`",
-            ));
-        }
-        if node_mtbf > 0 && node_mttr == 0 {
-            return Err(err("continuous `node_mtbf` needs a positive `node_mttr`"));
-        }
-        if link_mtbf > 0 && link_mttr == 0 {
-            return Err(err("continuous `link_mtbf` needs a positive `link_mttr`"));
-        }
-    } else if ["node_mtbf", "node_mttr", "link_mtbf", "link_mttr"]
-        .iter()
-        .any(|k| v.get(k).is_some())
-    {
-        return Err(err(
-            "`node_mtbf`/`node_mttr`/`link_mtbf`/`link_mttr` only apply to continuous scenarios",
-        ));
-    }
-    // Continuous scenarios may start at 0 (`at` is a start offset, not a
-    // fault time); every scripted fault needs a positive injection cycle.
-    if kind != ScenarioKind::None && !matches!(kind, ScenarioKind::Continuous { .. }) && at == 0 {
-        return Err(err("scenario `at` must be positive"));
-    }
-    Ok(Scenario {
+    };
+    keys_only_for(
+        &["period", "count"],
+        matches!(kind, ScenarioKind::Cycle { .. }),
+        "`period`/`count` only apply to cycle scenarios",
+    )?;
+    keys_only_for(
+        &["gap", "second_node"],
+        matches!(
+            kind,
+            ScenarioKind::BackToBack { .. } | ScenarioKind::Nested { .. }
+        ),
+        "`gap`/`second_node` only apply to back_to_back and nested scenarios",
+    )?;
+    keys_only_for(
+        &["gap2", "third_node", "permanent_mask"],
+        matches!(kind, ScenarioKind::Nested { .. }),
+        "`gap2`/`third_node`/`permanent_mask` only apply to nested scenarios",
+    )?;
+    keys_only_for(
+        &["to_node"],
+        matches!(kind, ScenarioKind::LinkCut { .. }),
+        "`to_node` only applies to link_cut scenarios",
+    )?;
+    keys_only_for(
+        &["rate"],
+        matches!(kind, ScenarioKind::MessageLoss { .. }),
+        "`rate` only applies to message_loss scenarios",
+    )?;
+    keys_only_for(
+        &["node_mtbf", "node_mttr", "link_mtbf", "link_mttr"],
+        matches!(kind, ScenarioKind::Continuous { .. }),
+        "`node_mtbf`/`node_mttr`/`link_mtbf`/`link_mttr` only apply to continuous scenarios",
+    )?;
+    let scenario = Scenario {
         kind,
         node,
         at,
         repair_at,
-    })
+    };
+    scenario.check_values()?;
+    Ok(scenario)
 }
 
 impl CampaignSpec {

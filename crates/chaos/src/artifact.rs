@@ -7,8 +7,8 @@
 //! counterexample either reproduces exactly or the artifact is stale.
 
 use ftcoma_campaign::Scenario;
-use ftcoma_machine::export::{span_json, SCHEMA_VERSION};
-use ftcoma_sim::span::{SpanPhase, SpanRecord};
+use ftcoma_machine::export::{span_from_json, span_json, SCHEMA_VERSION};
+use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::Json;
 
 /// One minimized failing case, self-contained for replay.
@@ -139,33 +139,22 @@ impl Counterexample {
                 .unwrap_or_default(),
             shrink_runs: num("shrink_runs").map(|v| v as u32).unwrap_or(0),
             // Tolerant: pre-v5 artifacts have no timeline; malformed rows
-            // are skipped rather than failing the whole parse.
+            // (inverted spans included) are skipped rather than failing the
+            // whole parse.
             recovery_timeline: doc
                 .get("recovery_timeline")
                 .and_then(Json::as_array)
-                .map(|xs| xs.iter().filter_map(parse_span).collect())
+                .map(|xs| xs.iter().filter_map(span_from_json).collect())
                 .unwrap_or_default(),
         })
     }
-}
-
-/// Parses one serialized span row ([`span_json`] format); `None` for
-/// malformed rows.
-fn parse_span(row: &Json) -> Option<SpanRecord> {
-    Some(SpanRecord {
-        id: row.get("id").and_then(Json::as_u64)?,
-        parent: row.get("parent").and_then(Json::as_u64)?,
-        phase: SpanPhase::from_name(row.get("phase").and_then(Json::as_str)?)?,
-        node: u16::try_from(row.get("node").and_then(Json::as_u64)?).ok()?,
-        start: row.get("start").and_then(Json::as_u64)?,
-        end: row.get("end").and_then(Json::as_u64)?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftcoma_campaign::ScenarioKind;
+    use ftcoma_sim::span::SpanPhase;
 
     fn sample() -> Counterexample {
         Counterexample {
@@ -237,6 +226,14 @@ mod tests {
         let back = Counterexample::parse(&doc.to_string_pretty()).unwrap();
         assert!(back.recovery_timeline.is_empty());
         assert_eq!(back.case_id, sample().case_id);
+    }
+
+    #[test]
+    fn inverted_timeline_rows_are_skipped_like_malformed_ones() {
+        let mut cx = sample();
+        cx.recovery_timeline[1].end = 41_000; // ends before it starts
+        let back = Counterexample::parse(&cx.to_json().to_string_pretty()).unwrap();
+        assert_eq!(back.recovery_timeline, sample().recovery_timeline[..1]);
     }
 
     #[test]

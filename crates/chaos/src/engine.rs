@@ -592,10 +592,7 @@ fn minimize_case<F: FnMut(&Cell) -> CellOutcome>(
 /// the artifact's machine, a machine seed that no longer matches the
 /// derivation (stale artifact), or a golden run that does not recover.
 pub fn replay(cx: &Counterexample) -> Result<Verdict, String> {
-    let workload = presets::all()
-        .into_iter()
-        .chain(presets::micros())
-        .find(|w| w.name.eq_ignore_ascii_case(&cx.workload))
+    let workload = presets::by_name(&cx.workload)
         .ok_or_else(|| format!("unknown workload `{}`", cx.workload))?;
     let cfg = ChaosConfig {
         campaign_seed: cx.campaign_seed,

@@ -20,18 +20,13 @@ use std::time::Instant;
 
 use args::{ArgError, Parsed};
 use ftcoma_campaign::{
-    report, run_cell, run_cells, CampaignSpec, Cell, Lengths, Scenario, ScenarioKind,
+    report, run_cell, run_cell_on, run_cells, CampaignSpec, Cell, CellOutcome, Lengths, Scenario,
+    ScenarioKind,
 };
 use ftcoma_chaos::{ChaosConfig, Counterexample, Verdict};
 use ftcoma_core::{FtConfig, RecoveryOutcome};
-use ftcoma_machine::TsSample;
-use ftcoma_machine::{
-    export, probe, tracelog::TraceEvent, FailureKind, Machine, MachineConfig, RetryPolicy,
-    RunMetrics,
-};
-use ftcoma_mem::NodeId;
-use ftcoma_net::LinkReport;
-use ftcoma_sim::span::{SpanPhase, SpanRecord};
+use ftcoma_machine::{export, probe, Decomposition, Machine, MachineConfig, RunMetrics};
+use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{Clock, Json};
 use ftcoma_workloads::{presets, SplashConfig};
 
@@ -78,7 +73,6 @@ USAGE
                   [--freq RP_PER_S | --no-ft] [--seed S] [--verify]
                   [--fail-at CYCLES [--fail-kind transient|permanent]
                   [--fail-node K]]
-                  [--rto-base C] [--rto-cap C] [--max-retries N]
                   [--json] [--metrics-out FILE] [--trace-out FILE]
                   [--trace-jsonl FILE] [--trace-capacity N]
                   [--spans-out FILE] [--timeseries-out FILE]
@@ -163,13 +157,7 @@ WORKLOADS
 
 fn workload(p: &Parsed) -> Result<SplashConfig, ArgError> {
     let name = p.str_or("workload", "water");
-    let all: Vec<SplashConfig> = presets::all()
-        .into_iter()
-        .chain(presets::micros())
-        .collect();
-    all.into_iter()
-        .find(|w| w.name.eq_ignore_ascii_case(&name))
-        .ok_or_else(|| ArgError(format!("unknown workload `{name}`")))
+    presets::by_name(&name).ok_or_else(|| ArgError(format!("unknown workload `{name}`")))
 }
 
 fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
@@ -190,15 +178,6 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
         0
     };
     let default_ts_every = if p.has("timeseries-out") { 10_000 } else { 0 };
-    // Reliable-transport retry policy. The defaults reproduce the
-    // historical constants, so runs that leave these flags alone are
-    // byte-identical to builds that predate them.
-    let d = RetryPolicy::default();
-    let retry = RetryPolicy {
-        rto_base: p.u64_or("rto-base", d.rto_base)?,
-        rto_cap: p.u64_or("rto-cap", d.rto_cap)?,
-        max_retries: p.int_or("max-retries", d.max_retries)?,
-    };
     let cfg = MachineConfig {
         nodes: p.int_or("nodes", 16)?,
         refs_per_node: p.u64_or("refs", 60_000)?,
@@ -208,7 +187,6 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
         net,
         seed: p.u64_or("seed", 0xF7C0_3A11)?,
         verify: p.has("verify"),
-        retry,
         trace_capacity: p.u64_or("trace-capacity", default_trace_capacity)? as usize,
         timeseries_every: p.u64_or("timeseries-every", default_ts_every)?,
         ..MachineConfig::default()
@@ -219,23 +197,15 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
 
 /// Handles the structured-output flags shared by `run` and `failure`.
 /// Returns `true` when `--json` consumed stdout (suppress the text report).
-fn export_outputs(
-    p: &Parsed,
-    metrics: &RunMetrics,
-    links: &[LinkReport],
-    trace: &[TraceEvent],
-    spans: &[SpanRecord],
-    timeseries: &[TsSample],
-    outcome: &RecoveryOutcome,
-) -> Result<bool, ArgError> {
+fn export_outputs(p: &Parsed, run: &CellOutcome) -> Result<bool, ArgError> {
     let write = |path: &str, contents: &str| {
         std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
     };
     let wants_doc = p.has("json") || p.has("metrics-out");
     let doc = if wants_doc {
-        let mut d = export::metrics_json(metrics, links);
+        let mut d = export::metrics_json(&run.metrics, &run.links);
         match &mut d {
-            Json::Obj(pairs) => pairs.push(("outcome".into(), export::outcome_json(outcome))),
+            Json::Obj(pairs) => pairs.push(("outcome".into(), export::outcome_json(&run.outcome))),
             _ => {
                 return Err(ArgError(
                     "malformed metrics document: top level must be a JSON object".into(),
@@ -254,21 +224,24 @@ fn export_outputs(
         }
     }
     if p.has("trace-out") {
-        let chrome = export::chrome_trace_with_spans(trace, spans, Clock::ksr1().hz());
+        let chrome = export::chrome_trace_with_spans(&run.trace, &run.spans, Clock::ksr1().hz());
         let mut text = chrome.to_string_compact();
         text.push('\n');
         write(&p.str_or("trace-out", ""), &text)?;
     }
     if p.has("trace-jsonl") {
-        write(&p.str_or("trace-jsonl", ""), &export::trace_jsonl(trace))?;
+        write(
+            &p.str_or("trace-jsonl", ""),
+            &export::trace_jsonl(&run.trace),
+        )?;
     }
     if p.has("spans-out") {
-        write(&p.str_or("spans-out", ""), &export::spans_jsonl(spans))?;
+        write(&p.str_or("spans-out", ""), &export::spans_jsonl(&run.spans))?;
     }
     if p.has("timeseries-out") {
         write(
             &p.str_or("timeseries-out", ""),
-            &export::timeseries_jsonl(timeseries),
+            &export::timeseries_jsonl(&run.timeseries),
         )?;
     }
     if p.has("json") {
@@ -330,9 +303,6 @@ const RUN_FLAGS: &[&str] = &[
     "fail-at",
     "fail-kind",
     "fail-node",
-    "rto-base",
-    "rto-cap",
-    "max-retries",
     "json",
     "metrics-out",
     "trace-out",
@@ -344,7 +314,7 @@ const RUN_FLAGS: &[&str] = &[
 ];
 
 /// The `--fail-at/--fail-kind/--fail-node` injection triple of `run`.
-fn injection_flags(p: &Parsed) -> Result<Option<(u64, u16, FailureKind)>, ArgError> {
+fn injection_flags(p: &Parsed) -> Result<Option<Scenario>, ArgError> {
     if !p.has("fail-at") {
         if p.has("fail-kind") || p.has("fail-node") {
             return Err(ArgError(
@@ -354,34 +324,39 @@ fn injection_flags(p: &Parsed) -> Result<Option<(u64, u16, FailureKind)>, ArgErr
         return Ok(None);
     }
     let kind = match p.str_or("fail-kind", "transient").as_str() {
-        "transient" => FailureKind::Transient,
-        "permanent" => FailureKind::Permanent,
+        "transient" => ScenarioKind::Transient,
+        "permanent" => ScenarioKind::Permanent,
         other => {
             return Err(ArgError(format!(
                 "--fail-kind must be transient|permanent, got {other}"
             )))
         }
     };
-    Ok(Some((
-        p.u64_or("fail-at", 0)?,
-        p.int_or("fail-node", 1)?,
+    Ok(Some(Scenario {
         kind,
-    )))
+        node: p.int_or("fail-node", 1)?,
+        at: p.u64_or("fail-at", 0)?,
+        repair_at: None,
+    }))
 }
 
-/// Folds the post-run invariant sweep into the machine's own outcome.
-fn final_outcome(machine: &Machine, metrics: &RunMetrics) -> RecoveryOutcome {
-    let outcome = machine.outcome().clone();
-    if outcome.is_recovered() {
-        let problems = machine.check_invariants();
-        if !problems.is_empty() {
-            return RecoveryOutcome::InvariantViolation {
-                at: metrics.total_cycles,
-                problems,
-            };
-        }
-    }
-    outcome
+/// `run` and `failure` as one campaign cell that keeps the command line's
+/// own seed, checked by the one scenario check.
+fn single_cell(cfg: MachineConfig, scenario: Scenario) -> Result<Cell, ArgError> {
+    scenario
+        .validate_for(cfg.nodes)
+        .map_err(|e| ArgError(e.0))?;
+    Ok(Cell {
+        id: 0,
+        group: 0,
+        label: format!(
+            "{}/{}",
+            cfg.workload.name.to_ascii_lowercase(),
+            scenario.label()
+        ),
+        cfg,
+        scenario,
+    })
 }
 
 /// Error mapping shared by every command that surfaces a [`RecoveryOutcome`]:
@@ -401,58 +376,38 @@ fn cmd_run(p: &Parsed) -> Result<(), ArgError> {
     p.assert_only(RUN_FLAGS)?;
     let inject = injection_flags(p)?;
     let mut cfg = machine_config(p)?;
-    if let Some((at, node, _)) = inject {
-        if u64::from(node) >= u64::from(cfg.nodes) {
-            return Err(ArgError(format!(
-                "--fail-node {node} out of range for {} nodes",
-                cfg.nodes
-            )));
-        }
+    if inject.is_some() {
         if !cfg.ft.mode.is_enabled() {
             return Err(ArgError("--fail-at needs the ECP (drop --no-ft)".into()));
         }
-        if at == 0 {
-            return Err(ArgError("--fail-at must be a positive cycle".into()));
-        }
         cfg.verify = true; // an injected run is always checked
     }
+    let cell = single_cell(cfg, inject.unwrap_or_else(Scenario::none))?;
     let quiet = p.has("json"); // keep stdout pure JSON
     if !quiet {
         println!(
             "running {} on {} nodes ({})",
-            cfg.workload.name,
-            cfg.nodes,
-            if cfg.ft.mode.is_enabled() {
-                format!("ECP, {} rp/s", cfg.ft.ckpt_rate_hz)
+            cell.cfg.workload.name,
+            cell.cfg.nodes,
+            if cell.is_ft() {
+                format!("ECP, {} rp/s", cell.cfg.ft.ckpt_rate_hz)
             } else {
                 "standard protocol".into()
             }
         );
     }
-    let mut machine = Machine::new(cfg);
+    let machine = Machine::new(cell.cfg.clone());
     if !quiet {
         println!("capacity check: {}", machine.capacity_report());
     }
-    if let Some((at, node, kind)) = inject {
-        machine.schedule_failure(at, NodeId::new(node), kind);
-    }
-    let metrics = machine.run();
-    let outcome = final_outcome(&machine, &metrics);
-    if !export_outputs(
-        p,
-        &metrics,
-        &machine.link_report(),
-        &machine.trace(),
-        &machine.spans(),
-        machine.timeseries(),
-        &outcome,
-    )? {
-        print_metrics(&metrics);
-        if inject.is_some() || !outcome.is_recovered() {
-            println!("outcome          {outcome}");
+    let run = run_cell_on(&cell, machine);
+    if !export_outputs(p, &run)? {
+        print_metrics(&run.metrics);
+        if inject.is_some() || !run.outcome.is_recovered() {
+            println!("outcome          {}", run.outcome);
         }
     }
-    fail_on_violation(&outcome)
+    fail_on_violation(&run.outcome)
 }
 
 fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
@@ -464,27 +419,17 @@ fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
     };
     let std_m = Machine::new(std_cfg).run();
     let ft_m = Machine::new(ft_cfg.clone()).run();
-    let t_std = std_m.total_cycles as f64;
-    let poll = ft_m.total_cycles as f64 - t_std - ft_m.t_create as f64 - ft_m.t_commit as f64;
+    let d = Decomposition::of(&ft_m, &std_m);
     println!(
         "{} on {} nodes at {} rp/s:",
         ft_cfg.workload.name, ft_cfg.nodes, ft_cfg.ft.ckpt_rate_hz
     );
     println!("standard    {:>12} cycles", std_m.total_cycles);
     println!("ECP         {:>12} cycles", ft_m.total_cycles);
-    println!(
-        "overhead    {:>11.1}%",
-        (ft_m.total_cycles as f64 / t_std - 1.0) * 100.0
-    );
-    println!(
-        "  create    {:>11.1}%",
-        ft_m.t_create as f64 / t_std * 100.0
-    );
-    println!(
-        "  commit    {:>11.1}%",
-        ft_m.t_commit as f64 / t_std * 100.0
-    );
-    println!("  pollution {:>11.1}%", poll / t_std * 100.0);
+    println!("overhead    {:>11.1}%", d.total_overhead * 100.0);
+    println!("  create    {:>11.1}%", d.create * 100.0);
+    println!("  commit    {:>11.1}%", d.commit * 100.0);
+    println!("  pollution {:>11.1}%", d.pollution * 100.0);
     Ok(())
 }
 
@@ -522,8 +467,9 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
     spec.validate().map_err(|e| ArgError(e.0))?;
     let cells = spec.expand();
     let outcomes = run_cells(&cells, jobs_flag(p)?);
-    let std_m = &outcomes[0].metrics;
-    let t_std = std_m.total_cycles as f64;
+    // One baseline group: every ECP cell twins the same baseline run.
+    let twins = report::twins(&cells, &outcomes);
+    let std_m = twins[0].std;
     println!(
         "baseline (standard protocol): {} cycles over {} refs",
         std_m.total_cycles, std_m.refs
@@ -532,16 +478,15 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
         "{:>8}  {:>9}  {:>8}  {:>8}  {:>9}",
         "rp/s", "overhead", "create", "commit", "pollution"
     );
-    for (cell, outcome) in cells.iter().zip(&outcomes).skip(1) {
-        let ft_m = &outcome.metrics;
-        let poll = ft_m.total_cycles as f64 - t_std - ft_m.t_create as f64 - ft_m.t_commit as f64;
+    for t in &twins {
+        let d = t.decomposition;
         println!(
             "{:>8}  {:>8.1}%  {:>7.1}%  {:>7.1}%  {:>8.1}%",
-            cell.cfg.ft.ckpt_rate_hz,
-            (ft_m.total_cycles as f64 / t_std - 1.0) * 100.0,
-            ft_m.t_create as f64 / t_std * 100.0,
-            ft_m.t_commit as f64 / t_std * 100.0,
-            poll / t_std * 100.0,
+            t.cell.cfg.ft.ckpt_rate_hz,
+            d.total_overhead * 100.0,
+            d.create * 100.0,
+            d.commit * 100.0,
+            d.pollution * 100.0,
         );
     }
     Ok(())
@@ -563,9 +508,6 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         "node-mttr",
         "link-mtbf",
         "link-mttr",
-        "rto-base",
-        "rto-cap",
-        "max-retries",
         "json",
         "metrics-out",
         "trace-out",
@@ -580,34 +522,12 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
     let kind = match p.str_or("kind", "transient").as_str() {
         "transient" => ScenarioKind::Transient,
         "permanent" => ScenarioKind::Permanent,
-        "continuous" => {
-            let kind = ScenarioKind::Continuous {
-                node_mtbf: p.u64_or("node-mtbf", 0)?,
-                node_mttr: p.u64_or("node-mttr", 0)?,
-                link_mtbf: p.u64_or("link-mtbf", 0)?,
-                link_mttr: p.u64_or("link-mttr", 0)?,
-            };
-            if let ScenarioKind::Continuous {
-                node_mtbf,
-                node_mttr,
-                link_mtbf,
-                link_mttr,
-            } = kind
-            {
-                if node_mtbf == 0 && link_mtbf == 0 {
-                    return Err(ArgError(
-                        "--kind continuous needs --node-mtbf and/or --link-mtbf".into(),
-                    ));
-                }
-                if node_mtbf > 0 && node_mttr == 0 {
-                    return Err(ArgError("--node-mtbf needs a positive --node-mttr".into()));
-                }
-                if link_mtbf > 0 && link_mttr == 0 {
-                    return Err(ArgError("--link-mtbf needs a positive --link-mttr".into()));
-                }
-            }
-            kind
-        }
+        "continuous" => ScenarioKind::Continuous {
+            node_mtbf: p.u64_or("node-mtbf", 0)?,
+            node_mttr: p.u64_or("node-mttr", 0)?,
+            link_mtbf: p.u64_or("link-mtbf", 0)?,
+            link_mttr: p.u64_or("link-mttr", 0)?,
+        },
         other => {
             return Err(ArgError(format!(
                 "--kind must be transient|permanent|continuous, got {other}"
@@ -627,11 +547,6 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         u64::MAX => None,
         at => Some(at),
     };
-    if repair_at.is_some() && kind != ScenarioKind::Permanent {
-        return Err(ArgError(
-            "--repair-at only applies to permanent failures".into(),
-        ));
-    }
     let scenario = Scenario {
         kind,
         node: p.int_or("node", 1)?,
@@ -647,42 +562,10 @@ fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
         )?,
         repair_at,
     };
-    if scenario.node >= cfg.nodes {
-        return Err(ArgError(format!(
-            "--node {} out of range for {} nodes",
-            scenario.node, cfg.nodes
-        )));
-    }
-    if let Some(r) = repair_at {
-        if r <= scenario.at {
-            return Err(ArgError(format!(
-                "--repair-at ({r}) must come strictly after the failure at {}",
-                scenario.at
-            )));
-        }
-    }
     // A failure run is a single campaign cell with an explicit seed.
-    let cell = Cell {
-        id: 0,
-        group: 0,
-        label: format!(
-            "{}/{}",
-            cfg.workload.name.to_ascii_lowercase(),
-            scenario.label()
-        ),
-        cfg,
-        scenario,
-    };
+    let cell = single_cell(cfg, scenario)?;
     let outcome = run_cell(&cell);
-    if !export_outputs(
-        p,
-        &outcome.metrics,
-        &outcome.links,
-        &outcome.trace,
-        &outcome.spans,
-        &outcome.timeseries,
-        &outcome.outcome,
-    )? {
+    if !export_outputs(p, &outcome)? {
         match &outcome.outcome {
             RecoveryOutcome::Recovered => {
                 println!("scenario `{}`: recovered and verified", scenario.label());
@@ -804,17 +687,10 @@ fn cmd_campaign(p: &Parsed) -> Result<(), ArgError> {
         "{:>4}  {:<34} {:>12} {:>6} {:>5} {:>9}",
         "id", "label", "cycles", "ckpts", "fail", "overhead"
     );
-    for (cell, outcome) in cells.iter().zip(&outcomes) {
+    for (i, (cell, outcome)) in cells.iter().zip(&outcomes).enumerate() {
         let m = &outcome.metrics;
-        let overhead = cells
-            .iter()
-            .zip(&outcomes)
-            .find(|(c, _)| c.group == cell.group && !c.is_ft())
-            .filter(|_| cell.is_ft())
-            .map(|(_, base)| {
-                let t_std = base.metrics.total_cycles as f64;
-                format!("{:>8.1}%", (m.total_cycles as f64 / t_std - 1.0) * 100.0)
-            })
+        let overhead = report::twin(&cells, &outcomes, i)
+            .map(|t| format!("{:>8.1}%", t.decomposition.total_overhead * 100.0))
             .unwrap_or_else(|| "-".into());
         println!(
             "{:>4}  {:<34} {:>12} {:>6} {:>5} {:>9}",
@@ -1020,19 +896,9 @@ fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRecord>, ArgError> {
         if row.get("type").is_some() {
             continue; // meta header
         }
-        let parsed = (|| {
-            Some(SpanRecord {
-                id: row.get("id").and_then(Json::as_u64)?,
-                parent: row.get("parent").and_then(Json::as_u64)?,
-                phase: SpanPhase::from_name(row.get("phase").and_then(Json::as_str)?)?,
-                node: u16::try_from(row.get("node").and_then(Json::as_u64)?).ok()?,
-                start: row.get("start").and_then(Json::as_u64)?,
-                end: row.get("end").and_then(Json::as_u64)?,
-            })
-        })()
-        // A span never ends before it starts (`duration` relies on it).
-        .filter(|s| s.end >= s.start);
-        spans.push(parsed.ok_or_else(|| ArgError(format!("line {}: malformed span row", ln + 1)))?);
+        let span = export::span_from_json(&row)
+            .ok_or_else(|| ArgError(format!("line {}: malformed span row", ln + 1)))?;
+        spans.push(span);
     }
     Ok(spans)
 }

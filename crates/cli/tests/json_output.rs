@@ -495,9 +495,9 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         &["chaos", "--freq", "5e7"],
         &["campaign", "--spec", &tiny_freq],
         &["run", "--fail-at", "1000", "--fail-node", "65537"],
-        &["run", "--max-retries", "4294967297"],
         &["failure", "--node", "65537"],
         &["failure", "--node", "20"],
+        &["failure", "--kind", "transient", "--at", "0"],
         &["chaos", "--nodes", "65540"],
         &["trace", "summarize", "--spans", &spans],
         &["chaos", "--replay", &replays[0]],

@@ -3,7 +3,6 @@
 use ftcoma_core::FtConfig;
 use ftcoma_mem::{AmGeometry, CacheGeometry};
 use ftcoma_net::NetConfig;
-use ftcoma_protocol::transport::RetryPolicy;
 use ftcoma_protocol::MemTiming;
 use ftcoma_workloads::{presets, SplashConfig};
 
@@ -41,11 +40,6 @@ pub struct MachineConfig {
     /// Replace the mesh with a split-transaction shared bus (snooping-style
     /// fabric; see `ftcoma_net::bus`). `None` = the paper's mesh.
     pub bus: Option<ftcoma_net::BusConfig>,
-    /// Retransmission policy of the reliable transport (RTO base/cap and
-    /// the retry budget before escalation). The default reproduces the
-    /// historical constants, so fault-free runs — and faulted runs that
-    /// don't override it — are byte-identical to before it was a knob.
-    pub retry: RetryPolicy,
     /// Attraction-memory geometry.
     pub am: AmGeometry,
     /// Cache geometry.
@@ -79,7 +73,6 @@ impl Default for MachineConfig {
             timing: MemTiming::ksr1(),
             net: NetConfig::default(),
             bus: None,
-            retry: RetryPolicy::default(),
             am: AmGeometry::ksr1(),
             cache: CacheGeometry::ksr1(),
             warmup_refs_per_node: 0,
@@ -106,7 +99,7 @@ impl MachineConfig {
     ///
     /// Returns a message if there are fewer than two nodes (the ECP needs a
     /// second AM for every recovery copy), fewer than four with the ECP on,
-    /// no references to run, or an invalid retry policy.
+    /// or no references to run.
     ///
     /// # Panics
     ///
@@ -130,7 +123,6 @@ impl MachineConfig {
         if self.refs_per_node == 0 {
             return Err("refs_per_node must be positive".into());
         }
-        self.retry.validate()?;
         self.workload.validate();
         self.timing.validate();
         self.am.validate();

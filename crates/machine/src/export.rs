@@ -373,6 +373,21 @@ pub fn span_json(s: &SpanRecord) -> Json {
     ])
 }
 
+/// Parses one [`span_json`] row back into a span record; `None` when a
+/// field is missing or out of range, or the span ends before it starts
+/// ([`SpanRecord::duration`] relies on `end >= start`).
+pub fn span_from_json(row: &Json) -> Option<SpanRecord> {
+    Some(SpanRecord {
+        id: row.get("id").and_then(Json::as_u64)?,
+        parent: row.get("parent").and_then(Json::as_u64)?,
+        phase: SpanPhase::from_name(row.get("phase").and_then(Json::as_str)?)?,
+        node: u16::try_from(row.get("node").and_then(Json::as_u64)?).ok()?,
+        start: row.get("start").and_then(Json::as_u64)?,
+        end: row.get("end").and_then(Json::as_u64)?,
+    })
+    .filter(|s| s.end >= s.start)
+}
+
 /// Renders causal span records as JSON Lines: a `meta` header carrying
 /// [`SCHEMA_VERSION`], then one compact object per span ([`span_json`]).
 /// This is the input format of `ftcoma trace summarize`.
@@ -956,6 +971,19 @@ mod tests {
         );
         assert_eq!(first.get("id").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(first.get("parent").and_then(|v| v.as_u64()), Some(0));
+        // Every row parses back into the span it was written from.
+        let parsed: Vec<SpanRecord> = lines[1..]
+            .iter()
+            .map(|l| span_from_json(&Json::parse(l).unwrap()).unwrap())
+            .collect();
+        assert_eq!(parsed, sample_spans());
+        // A span that ends before it starts is malformed.
+        let inverted = SpanRecord {
+            end: 0,
+            start: 9,
+            ..sample_spans()[0]
+        };
+        assert_eq!(span_from_json(&span_json(&inverted)), None);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! ```
 //!
 //! The same configuration with [`FtConfig::disabled`] is the paper's
-//! baseline; the harness in `ftcoma-bench` runs both with identical seeds
-//! and decomposes the difference into `T_create`, `T_commit` and
-//! `T_pollution` exactly as Fig. 3 does.
+//! baseline. [`Decomposition::of`] splits an ECP run's overhead against
+//! its baseline twin (same seed and run length) into `T_create`,
+//! `T_commit` and `T_pollution` exactly as Fig. 3 does; `ftcoma-campaign`
+//! pairs the twins as cells of one baseline group.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +52,5 @@ mod transport;
 
 pub use config::{FailureKind, MachineConfig};
 pub use faultproc::{FaultDist, FaultProcess, FaultProcessConfig};
-pub use ftcoma_protocol::transport::RetryPolicy;
 pub use machine::{Machine, Snapshot};
-pub use metrics::{NodeMetrics, PhaseLatency, RunMetrics, TsSample};
+pub use metrics::{Decomposition, NodeMetrics, PhaseLatency, RunMetrics, TsSample};

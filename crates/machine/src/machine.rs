@@ -8,6 +8,7 @@ use ftcoma_core::{
 use ftcoma_mem::{ItemId, ItemState, NodeId};
 use ftcoma_net::{Fabric, LogicalRing, NetClass};
 use ftcoma_protocol::msg::{InjectCause, Msg};
+use ftcoma_protocol::transport::{backoff, MAX_RETRIES};
 use ftcoma_protocol::NodeState;
 use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{derive_seed, Cycles, EventQueue, FxHashMap};
@@ -1337,10 +1338,8 @@ impl Machine {
             }
             None => self.metrics.net_dropped_msgs += 1,
         }
-        self.queue.schedule(
-            depart + self.cfg.retry.backoff(attempt),
-            Event::NetRetry { src, dst, seq },
-        );
+        self.queue
+            .schedule(depart + backoff(attempt), Event::NetRetry { src, dst, seq });
     }
 
     /// A physical copy of `(src, seq)` reached `to`: ack it, and hand the
@@ -1406,7 +1405,7 @@ impl Machine {
             return; // acked in time
         };
         self.metrics.net_timeouts += 1;
-        if entry.attempts >= self.cfg.retry.max_retries {
+        if entry.attempts >= MAX_RETRIES {
             t.in_flight.remove(&(src, dst, seq));
             self.escalate(src, dst);
             return;
@@ -1417,10 +1416,10 @@ impl Machine {
         self.transmit(now, src, dst, seq);
     }
 
-    /// The transport gave up on `dst` after the policy's retry budget
-    /// ([`MachineConfig::retry`]): decide what
-    /// that means for the machine. A peer that is still routable looks
-    /// dead, so the single-failure machinery handles it. If the mesh is
+    /// The transport gave up on `dst` after [`MAX_RETRIES`]
+    /// retransmissions: decide what that means for the machine. A peer
+    /// that is still routable looks dead, so the single-failure machinery
+    /// handles it. If the mesh is
     /// severed, the largest connected component of live nodes (ties broken
     /// towards the one holding the lowest node id) carries on and treats
     /// the endpoints outside it as failed; when neither endpoint is in the

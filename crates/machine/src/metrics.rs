@@ -191,8 +191,8 @@ impl PhaseLatency {
 /// `T_ft = T_standard + T_create + T_commit + T_pollution`, where the first
 /// three terms are measured directly ([`RunMetrics::total_cycles`],
 /// [`RunMetrics::t_create`], [`RunMetrics::t_commit`]) and `T_pollution` is
-/// computed by the harness from a paired standard-protocol run with the
-/// same seed.
+/// the residual against a paired standard-protocol run with the same seed
+/// ([`Decomposition::of`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Total simulated execution time.
@@ -532,6 +532,44 @@ impl RunMetrics {
     }
 }
 
+/// Fig. 3's execution-time decomposition of an ECP run against its paired
+/// standard-protocol run (same seed and run length): `T_ft = T_std +
+/// T_create + T_commit + T_pollution`, every term a fraction of `T_std`.
+///
+/// This is the one place the workspace computes the decomposition; the
+/// campaign report, the CLI, the figure benches and the examples all read
+/// it from here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decomposition {
+    /// `T_ft / T_std - 1`.
+    pub total_overhead: f64,
+    /// `T_create / T_std`.
+    pub create: f64,
+    /// `T_commit / T_std`.
+    pub commit: f64,
+    /// `T_pollution / T_std`, the residual `(T_ft - T_std - T_create -
+    /// T_commit) / T_std`. It may be slightly negative when the pollution
+    /// effect is close to zero: the twins' trajectories differ.
+    pub pollution: f64,
+}
+
+impl Decomposition {
+    /// Decomposes the ECP run `ft` against its standard-protocol twin
+    /// `std`.
+    pub fn of(ft: &RunMetrics, std: &RunMetrics) -> Self {
+        let t_std = std.total_cycles as f64;
+        let t_ft = ft.total_cycles as f64;
+        let create = ft.t_create as f64;
+        let commit = ft.t_commit as f64;
+        Decomposition {
+            total_overhead: t_ft / t_std - 1.0,
+            create: create / t_std,
+            commit: commit / t_std,
+            pollution: (t_ft - t_std - create - commit) / t_std,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,6 +724,28 @@ mod tests {
         assert_eq!(b.replay.summary().count, 1);
         assert_eq!(b.named().len(), 8);
         assert_eq!(b.named()[7].0, "restart");
+    }
+
+    #[test]
+    fn decomposition_terms_add_up_to_the_total() {
+        let std = RunMetrics {
+            total_cycles: 1_000_000,
+            ..Default::default()
+        };
+        let ft = RunMetrics {
+            total_cycles: 1_234_567,
+            t_create: 150_001,
+            t_commit: 20_003,
+            ..Default::default()
+        };
+        let d = Decomposition::of(&ft, &std);
+        assert!((d.create + d.commit + d.pollution - d.total_overhead).abs() < 1e-12);
+        assert_eq!(d.create, 0.150001);
+        assert_eq!(d.commit, 0.020003);
+        assert!((d.total_overhead - 0.234567).abs() < 1e-12);
+        // Identical twins have nothing to decompose.
+        let same = Decomposition::of(&std, &std);
+        assert_eq!((same.total_overhead, same.pollution), (0.0, 0.0));
     }
 
     #[test]

@@ -48,68 +48,10 @@ pub const MAX_RETRIES: u32 = 10;
 /// assert_eq!(backoff(31), RTO_CAP); // bounded
 /// ```
 pub fn backoff(attempt: u32) -> Cycles {
-    RetryPolicy::default().backoff(attempt)
-}
-
-/// The transport's retransmission knobs, validated as a unit so a
-/// machine can be tuned per run (CLI `--rto-base/--rto-cap/--max-retries`)
-/// without each field being checked ad hoc at the call sites.
-///
-/// [`RetryPolicy::default`] reproduces the historical constants
-/// ([`RTO_BASE`], [`RTO_CAP`], [`MAX_RETRIES`]), and the free [`backoff`]
-/// function stays as the default-policy shorthand — fault-free runs under
-/// the default policy are byte-identical to before the policy existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First retransmission timeout in cycles.
-    pub rto_base: Cycles,
-    /// Ceiling of the exponential backoff, in cycles.
-    pub rto_cap: Cycles,
-    /// Retransmissions after which the transport gives up on a peer.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            rto_base: RTO_BASE,
-            rto_cap: RTO_CAP,
-            max_retries: MAX_RETRIES,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Checks the policy is usable: a positive base, a cap no smaller
-    /// than the base, and at least one retry before escalation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated rule.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.rto_base == 0 {
-            return Err("retry policy: rto_base must be positive".into());
-        }
-        if self.rto_cap < self.rto_base {
-            return Err(format!(
-                "retry policy: rto_cap {} below rto_base {}",
-                self.rto_cap, self.rto_base
-            ));
-        }
-        if self.max_retries == 0 {
-            return Err("retry policy: max_retries must be at least 1".into());
-        }
-        Ok(())
-    }
-
-    /// Retransmission timeout for the given attempt number (0 = the
-    /// initial transmission): `min(rto_base << attempt, rto_cap)`.
-    pub fn backoff(&self, attempt: u32) -> Cycles {
-        // Clamp the exponent before shifting: past log2(cap/base) doublings
-        // the cap wins anyway, and an unclamped shift would wrap bits out.
-        let exp = attempt.min((self.rto_cap / self.rto_base).ilog2());
-        (self.rto_base << exp).min(self.rto_cap)
-    }
+    // Clamp the exponent before shifting: past log2(cap/base) doublings
+    // the cap wins anyway, and an unclamped shift would wrap bits out.
+    let exp = attempt.min((RTO_CAP / RTO_BASE).ilog2());
+    (RTO_BASE << exp).min(RTO_CAP)
 }
 
 /// Per-destination send sequence numbers for one node.
@@ -185,48 +127,6 @@ mod tests {
         assert_eq!(backoff(6), 32_000);
         assert_eq!(backoff(63), 32_000);
         assert_eq!(backoff(64), 32_000); // shift overflow is still capped
-    }
-
-    #[test]
-    fn retry_policy_defaults_match_the_constants_and_validate() {
-        let p = RetryPolicy::default();
-        assert_eq!(
-            (p.rto_base, p.rto_cap, p.max_retries),
-            (RTO_BASE, RTO_CAP, MAX_RETRIES)
-        );
-        assert!(p.validate().is_ok());
-        for attempt in 0..70 {
-            assert_eq!(p.backoff(attempt), backoff(attempt), "attempt {attempt}");
-        }
-        // A custom policy follows its own base/cap.
-        let fast = RetryPolicy {
-            rto_base: 500,
-            rto_cap: 2_000,
-            max_retries: 3,
-        };
-        assert!(fast.validate().is_ok());
-        assert_eq!(fast.backoff(0), 500);
-        assert_eq!(fast.backoff(2), 2_000);
-        assert_eq!(fast.backoff(64), 2_000);
-        // Each rule rejects.
-        assert!(RetryPolicy {
-            rto_base: 0,
-            ..fast
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            rto_cap: 499,
-            ..fast
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            max_retries: 0,
-            ..fast
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -324,9 +324,27 @@ pub fn micros() -> Vec<SplashConfig> {
     vec![micro_uniform(), micro_hotspot(), micro_producer_consumer()]
 }
 
+/// The paper or micro-benchmark preset called `name`, ignoring ASCII case
+/// (`mp3d` finds `Mp3d`): the one name lookup the CLI, campaign specs and
+/// chaos artifacts share.
+pub fn by_name(name: &str) -> Option<SplashConfig> {
+    all()
+        .into_iter()
+        .chain(micros())
+        .find(|w| w.name.eq_ignore_ascii_case(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_are_found_by_name_in_any_case() {
+        assert_eq!(by_name("mp3d"), Some(mp3d()));
+        assert_eq!(by_name("WATER"), Some(water()));
+        assert_eq!(by_name("prodcons"), Some(micro_producer_consumer()));
+        assert_eq!(by_name("ocean"), None);
+    }
 
     #[test]
     fn presets_validate() {

@@ -13,7 +13,7 @@
 //! ```
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_sim::Clock;
 use ftcoma_workloads::presets;
 
@@ -33,12 +33,6 @@ fn main() {
         workload,
         ..MachineConfig::default()
     };
-    let std_run = Machine::new(MachineConfig {
-        ft: FtConfig::disabled(),
-        ..base.clone()
-    })
-    .run();
-    let t_std = std_run.total_cycles as f64;
 
     for freq in [400.0, 200.0, 100.0, 50.0, 25.0] {
         let period = clock.period_for_rate_hz(freq);
@@ -51,7 +45,7 @@ fn main() {
             ..base.clone()
         };
         let ft = Machine::new(cfg).run();
-        // Re-baseline the standard run at the same length.
+        // Baseline: the standard run at the same length.
         let std_len = Machine::new(MachineConfig {
             ft: FtConfig::disabled(),
             refs_per_node: base.refs_per_node * scale.min(8),
@@ -59,20 +53,18 @@ fn main() {
             ..base.clone()
         })
         .run();
-        let t_std_len = std_len.total_cycles as f64;
-        let poll = ft.total_cycles as f64 - t_std_len - ft.t_create as f64 - ft.t_commit as f64;
+        let d = Decomposition::of(&ft, &std_len);
         let kb_per_ckpt =
             ft.items_checkpointed as f64 * 128.0 / 1024.0 / ft.checkpoints.max(1) as f64;
         println!(
             "{:>8}  {:>8.1}%  {:>7.1}%  {:>7.1}%  {:>7.1}%  {:>7.1} KB  {:>9.1} ms",
             freq,
-            (ft.total_cycles as f64 / t_std_len - 1.0) * 100.0,
-            ft.t_create as f64 / t_std_len * 100.0,
-            ft.t_commit as f64 / t_std_len * 100.0,
-            poll / t_std_len * 100.0,
+            d.total_overhead * 100.0,
+            d.create * 100.0,
+            d.commit * 100.0,
+            d.pollution * 100.0,
             kb_per_ckpt,
             clock.cycles_to_secs(period) * 1_000.0,
         );
     }
-    let _ = t_std;
 }

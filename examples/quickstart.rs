@@ -8,7 +8,7 @@
 //! ```
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_workloads::presets;
 
 fn main() {
@@ -37,29 +37,15 @@ fn main() {
     let ft_run = ft_machine.run();
     ft_machine.assert_invariants();
 
-    let t_std = std_run.total_cycles as f64;
-    let t_ft = ft_run.total_cycles as f64;
-    let pollution = t_ft - t_std - ft_run.t_create as f64 - ft_run.t_commit as f64;
+    let d = Decomposition::of(&ft_run, &std_run);
 
     println!("workload            : Mp3d (16 nodes, 100 recovery points/s)");
     println!("standard execution  : {:>12} cycles", std_run.total_cycles);
     println!("fault-tolerant      : {:>12} cycles", ft_run.total_cycles);
-    println!(
-        "overhead            : {:>11.1} %",
-        (t_ft / t_std - 1.0) * 100.0
-    );
-    println!(
-        "  T_create          : {:>11.1} %",
-        ft_run.t_create as f64 / t_std * 100.0
-    );
-    println!(
-        "  T_commit          : {:>11.1} %",
-        ft_run.t_commit as f64 / t_std * 100.0
-    );
-    println!(
-        "  T_pollution       : {:>11.1} %",
-        pollution / t_std * 100.0
-    );
+    println!("overhead            : {:>11.1} %", d.total_overhead * 100.0);
+    println!("  T_create          : {:>11.1} %", d.create * 100.0);
+    println!("  T_commit          : {:>11.1} %", d.commit * 100.0);
+    println!("  T_pollution       : {:>11.1} %", d.pollution * 100.0);
     println!("recovery points     : {:>12}", ft_run.checkpoints);
     println!(
         "replication         : {:>11.1} MB/s per node during establishment",

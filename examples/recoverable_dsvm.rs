@@ -18,7 +18,7 @@
 //! ```
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_net::BusConfig;
 use ftcoma_protocol::MemTiming;
 use ftcoma_workloads::presets;
@@ -34,10 +34,8 @@ fn overheads(cfg_base: MachineConfig, freq: f64) -> (f64, f64) {
         ..cfg_base
     })
     .run();
-    let t_std = std_run.total_cycles as f64;
-    let total = ft_run.total_cycles as f64 / t_std - 1.0;
-    let create = ft_run.t_create as f64 / t_std;
-    (total, create)
+    let d = Decomposition::of(&ft_run, &std_run);
+    (d.total_overhead, d.create)
 }
 
 fn main() {

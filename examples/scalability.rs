@@ -13,7 +13,7 @@
 //! ```
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_workloads::presets;
 
 fn main() {
@@ -47,13 +47,12 @@ fn main() {
             ..base.clone()
         })
         .run();
-        let t_std = std_run.total_cycles as f64;
-        let poll = ft.total_cycles as f64 - t_std - ft.t_create as f64 - ft.t_commit as f64;
+        let d = Decomposition::of(&ft, &std_run);
         println!(
             "{:>6}  {:>8.1}%  {:>9.1}%  {:>14.1}  {:>16.1}",
             nodes,
-            ft.t_create as f64 / t_std * 100.0,
-            poll / t_std * 100.0,
+            d.create * 100.0,
+            d.pollution * 100.0,
             ft.items_checkpointed as f64 * 128.0
                 / 1024.0
                 / ft.checkpoints.max(1) as f64

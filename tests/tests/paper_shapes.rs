@@ -4,7 +4,7 @@
 //! network contention) shows up in `cargo test`.
 
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{Machine, MachineConfig};
+use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_workloads::presets;
 
 fn run(nodes: u16, freq: Option<f64>, refs: u64) -> ftcoma_machine::RunMetrics {
@@ -24,9 +24,8 @@ fn fig3_shape_overhead_falls_with_frequency() {
     let std_run = run(9, None, 30_000);
     let hi = run(9, Some(400.0), 30_000);
     let lo = run(9, Some(50.0), 30_000);
-    let t = std_run.total_cycles as f64;
-    let hi_ovh = hi.total_cycles as f64 / t - 1.0;
-    let lo_ovh = lo.total_cycles as f64 / t - 1.0;
+    let hi_ovh = Decomposition::of(&hi, &std_run).total_overhead;
+    let lo_ovh = Decomposition::of(&lo, &std_run).total_overhead;
     assert!(
         hi_ovh > lo_ovh,
         "overhead must fall with the checkpoint frequency ({hi_ovh:.3} vs {lo_ovh:.3})"
@@ -41,8 +40,7 @@ fn fig3_shape_create_falls_with_frequency() {
     let hi = run(9, Some(400.0), 30_000);
     let lo = run(9, Some(50.0), 30_000);
     let std_run = run(9, None, 30_000);
-    let t = std_run.total_cycles as f64;
-    assert!(hi.t_create as f64 / t > lo.t_create as f64 / t);
+    assert!(Decomposition::of(&hi, &std_run).create > Decomposition::of(&lo, &std_run).create);
 }
 
 #[test]
@@ -122,7 +120,7 @@ fn mp3d_is_the_worst_case_at_high_frequency() {
             ..MachineConfig::default()
         })
         .run();
-        let create = ft_run.t_create as f64 / std_run.total_cycles as f64;
+        let create = Decomposition::of(&ft_run, &std_run).create;
         overheads.push((wl.name.clone(), create));
     }
     let mp3d = overheads
