@@ -21,16 +21,17 @@ use ftcoma_bench::{banner, mbps, paper_grid, pct, quick_mode, run, write_bench_d
 use ftcoma_campaign::{report, CampaignSpec};
 
 /// Quick mode (CI smoke): two workloads at two frequencies on a small
-/// mesh, long enough for a recovery point at 400 rp/s (the 100 rp/s cells
-/// establish none) — exercises the whole path, including the JSON
-/// export, in seconds.
+/// mesh, long enough that every ECP cell establishes a recovery point
+/// (at least 3 at 400 rp/s and 1 at 200 rp/s; a 200 rp/s period is 100k
+/// cycles) — exercises the whole path, including the JSON export, in
+/// under a second.
 const QUICK_GRID: &str = r#"{
     "name": "paper-grid-quick",
     "seed": 1996,
     "workloads": ["water", "mp3d"],
     "nodes": [4],
-    "freqs": [400, 100],
-    "refs": 8000,
+    "freqs": [400, 200],
+    "refs": 24000,
     "warmup": 1000
 }"#;
 

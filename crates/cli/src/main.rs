@@ -15,6 +15,7 @@
 
 mod args;
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -224,10 +225,17 @@ fn export_outputs(p: &Parsed, run: &CellOutcome) -> Result<bool, ArgError> {
         }
     }
     if p.has("trace-out") {
-        let chrome = export::chrome_trace_with_spans(&run.trace, &run.spans, Clock::ksr1().hz());
-        let mut text = chrome.to_string_compact();
-        text.push('\n');
-        write(&p.str_or("trace-out", ""), &text)?;
+        let path = p.str_or("trace-out", "");
+        let text = export::chrome_trace_with_spans(&run.trace, &run.spans, Clock::ksr1().hz())
+            .to_string_compact();
+        // The newline is a second write: appending it to the document
+        // could reallocate, and so copy, the whole text.
+        std::fs::File::create(&path)
+            .and_then(|mut f| {
+                f.write_all(text.as_bytes())?;
+                f.write_all(b"\n")
+            })
+            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
     }
     if p.has("trace-jsonl") {
         write(
@@ -430,7 +438,21 @@ fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
     println!("  create    {:>11.1}%", d.create * 100.0);
     println!("  commit    {:>11.1}%", d.commit * 100.0);
     println!("  pollution {:>11.1}%", d.pollution * 100.0);
+    note_if_no_recovery_point(&ft_cfg.ft, &ft_m);
     Ok(())
+}
+
+/// Notes that an ECP run established no recovery point, so its overhead
+/// row (0.0%) measures nothing about checkpointing. The note goes to
+/// stderr, so stdout holds only the report.
+fn note_if_no_recovery_point(ft: &FtConfig, m: &RunMetrics) {
+    if let (0, Some(period)) = (m.checkpoints, ft.ckpt_period_cycles()) {
+        eprintln!(
+            "note: no recovery point fits the run at {} rp/s: the period is {period} cycles \
+             and the run {} cycles",
+            ft.ckpt_rate_hz, m.total_cycles
+        );
+    }
 }
 
 /// `--jobs` with a per-core default, shared by `sweep` and `campaign`.
@@ -488,6 +510,7 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
             d.commit * 100.0,
             d.pollution * 100.0,
         );
+        note_if_no_recovery_point(&t.cell.cfg.ft, t.ft);
     }
     Ok(())
 }

@@ -521,3 +521,67 @@ fn json_rejects_unknown_subcommand_flags() {
     let out = ftcoma(&["latency", "--json"]);
     assert!(!out.status.success(), "latency does not take --json");
 }
+
+#[test]
+fn sweep_and_compare_note_rates_that_establish_no_recovery_point() {
+    let sweep = |freqs: &str| {
+        ftcoma(&[
+            "sweep",
+            "--workload",
+            "water",
+            "--nodes",
+            "9",
+            "--refs",
+            "20000",
+            "--warmup",
+            "10000",
+            "--freqs",
+            freqs,
+            "--jobs",
+            "2",
+        ])
+    };
+    // At 100 rp/s the period (200000 cycles) outlasts the run (92567).
+    let out = sweep("400,200,100");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("     100       0.0%"), "{stdout}");
+    assert!(!stdout.contains("note:"), "the note stays off stdout");
+    assert_eq!(
+        stderr.trim_end(),
+        "note: no recovery point fits the run at 100 rp/s: \
+         the period is 200000 cycles and the run 92567 cycles"
+    );
+    let out = sweep("400");
+    assert!(out.status.success());
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let compare = |freq: &str| {
+        ftcoma(&[
+            "compare",
+            "--workload",
+            "water",
+            "--nodes",
+            "9",
+            "--refs",
+            "20000",
+            "--warmup",
+            "10000",
+            "--freq",
+            freq,
+        ])
+    };
+    let out = compare("100");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("note: no recovery point fits the run at 100 rp/s"),
+        "{stderr}"
+    );
+    assert!(compare("400").stderr.is_empty());
+}

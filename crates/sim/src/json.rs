@@ -4,8 +4,10 @@
 //! `ftcoma-machine`). The workspace builds offline with no external
 //! crates, so instead of `serde`/`serde_json` this module provides the
 //! minimal pieces the exporters and their round-trip tests need: an ordered
-//! document model ([`Json`]), a compact and a pretty writer, and a strict
-//! recursive-descent parser.
+//! document model ([`Json`]), a compact and a pretty writer, a strict
+//! recursive-descent parser, and [`write_object`], which writes a compact
+//! object straight into a `String` without building a tree (for exports
+//! with one row per record).
 //!
 //! Objects preserve insertion order so exported schemas are byte-stable
 //! across runs — a requirement for the versioned metrics schema.
@@ -240,6 +242,149 @@ impl Json {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
+    }
+}
+
+/// Writes one compact JSON object straight into `out`: `{`, the fields
+/// `fields` adds, `}`.
+///
+/// The text is byte-for-byte what building the same [`Json::Obj`] and
+/// calling [`Json::to_string_compact`] gives, since both go through the
+/// same string and number writers, but no tree is built. Row-per-record
+/// exports use it to write each row where it belongs in the output.
+///
+/// ```
+/// use ftcoma_sim::json::{write_object, Json};
+///
+/// let mut out = String::new();
+/// write_object(&mut out, |o| {
+///     o.str("name", "a\"b").uint("n", 7).num("x", 0.5);
+///     o.object("args", |a| {
+///         a.bool("ok", true);
+///     });
+///     o.array("ids", |a| {
+///         a.uint(1).uint(2);
+///     });
+/// });
+/// let tree = Json::obj([
+///     ("name", Json::from("a\"b")),
+///     ("n", Json::from(7u64)),
+///     ("x", Json::from(0.5)),
+///     ("args", Json::obj([("ok", Json::from(true))])),
+///     ("ids", Json::arr([Json::from(1u64), Json::from(2u64)])),
+/// ]);
+/// assert_eq!(out, tree.to_string_compact());
+/// ```
+#[inline]
+pub fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    fields(&mut ObjectWriter { out, empty: true });
+    out.push('}');
+}
+
+/// Writes one compact JSON array straight into `out` (see
+/// [`write_object`]).
+#[inline]
+fn write_array(out: &mut String, items: impl FnOnce(&mut ArrayWriter<'_>)) {
+    out.push('[');
+    items(&mut ArrayWriter { out, empty: true });
+    out.push(']');
+}
+
+/// The fields of an object being written by [`write_object`].
+///
+/// The writers' methods are `#[inline]` so that a row's fields compile
+/// into the exporter's loop: with a call per field, a 16-node Chrome trace
+/// took about a quarter longer to write.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Writes the separator and `"key":`, and returns the output for the
+    /// value.
+    #[inline]
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Adds a string field.
+    #[inline]
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_string(self.key(key), value);
+        self
+    }
+
+    /// Adds a number field, written like [`Json::Num`].
+    #[inline]
+    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
+        write_number(self.key(key), value);
+        self
+    }
+
+    /// Adds an integer field, written like `Json::from(value)` (through
+    /// `f64`).
+    #[inline]
+    pub fn uint(&mut self, key: &str, value: u64) -> &mut Self {
+        self.num(key, value as f64)
+    }
+
+    /// Adds a boolean field.
+    #[inline]
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds an object field whose fields `fields` writes.
+    #[inline]
+    pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.key(key), fields);
+        self
+    }
+
+    /// Adds an array field whose items `items` writes.
+    #[inline]
+    pub fn array(&mut self, key: &str, items: impl FnOnce(&mut ArrayWriter<'_>)) -> &mut Self {
+        write_array(self.key(key), items);
+        self
+    }
+}
+
+/// The items of an array being written by [`ObjectWriter::array`].
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    /// Writes the separator and returns the output for the next item.
+    #[inline]
+    fn next(&mut self) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    /// Appends an integer, written like `Json::from(value)`.
+    #[inline]
+    pub fn uint(&mut self, value: u64) -> &mut Self {
+        write_number(self.next(), value as f64);
+        self
+    }
+
+    /// Appends an object whose fields `fields` writes.
+    #[inline]
+    pub fn object(&mut self, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.next(), fields);
+        self
     }
 }
 
@@ -588,6 +733,52 @@ mod tests {
         }
         assert_eq!(Json::from(2.5).to_string_compact(), "2.5");
         assert_eq!(Json::Num(f64::NAN).to_string_compact(), "null");
+    }
+
+    #[test]
+    fn streamed_objects_match_the_tree_writer() {
+        let mut out = String::new();
+        write_object(&mut out, |o| {
+            o.str("s", "é\"\\\n\u{1}")
+                .num("half", 2.5)
+                .num("nan", f64::NAN)
+                .num("neg", -7.0)
+                .uint("big", 9_007_199_254_740_993)
+                .bool("t", true)
+                .bool("f", false);
+            o.object("empty", |_| {});
+            o.array("none", |_| {});
+            o.array("rows", |a| {
+                a.uint(3).object(|r| {
+                    r.object("inner", |i| {
+                        i.uint("k", 1);
+                    });
+                });
+            });
+        });
+        let tree = Json::obj([
+            ("s", Json::from("é\"\\\n\u{1}")),
+            ("half", Json::from(2.5)),
+            ("nan", Json::Num(f64::NAN)),
+            ("neg", Json::Num(-7.0)),
+            ("big", Json::from(9_007_199_254_740_993u64)),
+            ("t", Json::from(true)),
+            ("f", Json::from(false)),
+            ("empty", Json::Obj(Vec::new())),
+            ("none", Json::Arr(Vec::new())),
+            (
+                "rows",
+                Json::arr([
+                    Json::from(3u64),
+                    Json::obj([("inner", Json::obj([("k", Json::from(1u64))]))]),
+                ]),
+            ),
+        ]);
+        assert_eq!(out, tree.to_string_compact());
+        let mut empty = String::new();
+        write_object(&mut empty, |_| {});
+        write_array(&mut empty, |_| {});
+        assert_eq!(empty, "{}[]");
     }
 
     #[test]
