@@ -125,7 +125,7 @@ fn bench_mesh() {
     // Same traffic on a degraded mesh: the XY path crosses a failed router,
     // so every send pays the breadth-first misroute fallback.
     let mut mesh = Mesh::new(MeshGeometry::for_nodes(56), NetConfig::default());
-    mesh.fail_node(NodeId::new(28));
+    mesh.fail_router(NodeId::new(28));
     let mut t = 0u64;
     bench("mesh_send_item_detoured", 15, 100_000, || {
         t += 10;

@@ -404,7 +404,7 @@ mod tests {
         CampaignSpec::parse(
             r#"{
                 "workloads": ["water"],
-                "nodes": [4],
+                "nodes": [5],
                 "freqs": [400],
                 "refs": 2000,
                 "warmup": 0,

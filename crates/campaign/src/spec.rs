@@ -244,8 +244,11 @@ impl Scenario {
     /// `at`; `repair_at` belongs to permanent faults and comes after `at`;
     /// a continuous process needs at least one MTBF and every MTBF its
     /// MTTR; plus the back-to-back, nested, link-cut and message-loss
-    /// rules. Fitting means every node the scenario targets exists and a
-    /// cut link joins mesh-adjacent nodes. Campaign specs check each
+    /// rules. Fitting means every node the scenario targets exists, a
+    /// cut link joins mesh-adjacent nodes, and a scenario that loses a
+    /// node for good (a permanent failure, alone, back to back or nested,
+    /// or a dead router) runs on at least 5 nodes: establishing a recovery
+    /// point takes four live ones. Campaign specs check each
     /// scenario against each node count, a chaos replay its artifact's
     /// scenario against the artifact's machine, and `ftcoma run` and
     /// `ftcoma failure` theirs against the command line's.
@@ -261,6 +264,13 @@ impl Scenario {
                 self.node
             )));
         }
+        let loses_a_node = match self.kind {
+            ScenarioKind::Permanent
+            | ScenarioKind::BackToBack { .. }
+            | ScenarioKind::RouterDown => true,
+            ScenarioKind::Nested { permanent_mask, .. } => permanent_mask != 0,
+            _ => false,
+        };
         match self.kind {
             ScenarioKind::BackToBack { second_node, .. } if second_node >= n => Err(err(format!(
                 "scenario targets second node {second_node} but the machine has only {n} nodes"
@@ -278,7 +288,8 @@ impl Scenario {
             ))),
             ScenarioKind::LinkCut { to_node } => {
                 let geo = ftcoma_net::MeshGeometry::for_nodes(usize::from(n));
-                if geo.hops(NodeId::new(self.node), NodeId::new(to_node)) != 1 {
+                let to = NodeId::new(to_node);
+                if !geo.neighbours(NodeId::new(self.node)).any(|m| m == to) {
                     return Err(err(format!(
                         "link_cut nodes {} and {to_node} are not mesh-adjacent on {n} nodes \
                          ({}x{})",
@@ -289,6 +300,12 @@ impl Scenario {
                 }
                 Ok(())
             }
+            _ if loses_a_node && n < 5 => Err(err(format!(
+                "scenario `{}` loses a node for good, which needs at least 5 nodes: \
+                 establishing a recovery point takes four live nodes and only {} would remain",
+                self.label(),
+                n - 1
+            ))),
             _ => Ok(()),
         }
     }
@@ -1063,6 +1080,25 @@ mod tests {
             r#"{"nodes": [4], "scenarios": [{"kind": "transient", "node": 9}]}"#
         )
         .is_err());
+        // A node lost for good needs 5 nodes; a transient chain does not.
+        let on = |n: u16, kind: &str| {
+            let spec = format!(r#"{{"nodes": [{n}], "scenarios": [{{"node": 1, {kind}}}]}}"#);
+            CampaignSpec::parse(&spec)
+        };
+        for kind in [
+            r#""kind": "permanent""#,
+            r#""kind": "back_to_back", "gap": 10, "second_node": 2"#,
+            r#""kind": "nested", "gap": 10, "second_node": 2, "permanent_mask": 2"#,
+            r#""kind": "router_down""#,
+        ] {
+            assert!(
+                on(4, kind).unwrap_err().0.contains("at least 5 nodes"),
+                "{kind}"
+            );
+            assert!(on(5, kind).is_ok(), "{kind}");
+        }
+        let transient = r#""kind": "nested", "gap": 10, "second_node": 2, "permanent_mask": 0"#;
+        assert!(on(4, transient).is_ok());
         // repair_at only for permanent failures.
         assert!(
             CampaignSpec::parse(r#"{"scenarios": [{"kind": "transient", "repair_at": 10}]}"#)

@@ -40,7 +40,8 @@ pub struct ChaosConfig {
     pub jobs: usize,
     /// Workload preset every cell runs.
     pub workload: SplashConfig,
-    /// Machine size (≥ 4 for the ECP).
+    /// Machine size (≥ 5: the samplers draw permanent faults, and the ECP
+    /// needs four live nodes after one).
     pub nodes: u16,
     /// Checkpoint frequency — high enough that several establishment
     /// windows land inside each run.
@@ -137,8 +138,12 @@ impl ChaosConfig {
         if self.seeds == 0 || self.cases == 0 {
             return Err("chaos needs at least one seed and one case".into());
         }
-        if self.nodes < 4 {
-            return Err("the ECP needs at least 4 nodes".into());
+        if self.nodes < 5 {
+            return Err(
+                "chaos needs at least 5 nodes: its cases lose nodes for good, and establishing \
+                 a recovery point takes four live nodes"
+                    .into(),
+            );
         }
         if self.jobs == 0 {
             return Err("jobs must be at least 1".into());
@@ -245,12 +250,13 @@ fn sample_net_scenario(rng: &mut DetRng, nodes: u16, horizon: u64) -> Scenario {
     let at = rng.in_windows(&[(1, horizon)]).expect("non-empty window");
     let bucket = rng.below(100);
     let kind = if bucket < 40 {
-        let geo = MeshGeometry::for_nodes(usize::from(nodes));
-        let neighbors: Vec<u16> = (0..nodes)
-            .filter(|&m| m != node && geo.hops(NodeId::new(node), NodeId::new(m)) == 1)
+        let neighbours: Vec<NodeId> = MeshGeometry::for_nodes(usize::from(nodes))
+            .neighbours(NodeId::new(node))
             .collect();
-        let to_node = neighbors[rng.below(neighbors.len() as u64) as usize];
-        ScenarioKind::LinkCut { to_node }
+        let to_node = neighbours[rng.below(neighbours.len() as u64) as usize];
+        ScenarioKind::LinkCut {
+            to_node: to_node.index() as u16,
+        }
     } else if bucket < 70 {
         ScenarioKind::RouterDown
     } else {

@@ -97,6 +97,10 @@ USAGE
   (a 1-cycle period). A campaign with \"lengths\": \"paper\" also rejects
   a frequency so low that its run lengths overflow.
 
+  A fault that loses a node for good (permanent, alone, back to back or
+  nested, or a dead router) needs at least 5 nodes, and so does chaos:
+  establishing a recovery point takes four live nodes.
+
 CAMPAIGNS
   A campaign spec (see docs/CAMPAIGNS.md) expands workloads x node counts
   x checkpoint frequencies x failure scenarios into independent cells, run
@@ -142,11 +146,12 @@ OBSERVABILITY (run and failure; see docs/OBSERVABILITY.md)
   --trace-jsonl FILE       write the protocol trace as JSON Lines
   --trace-capacity N       retain the last N trace events and causal spans
                            (default 1000000 when a trace or span output is
-                           requested, else 0)
+                           requested, which then needs N > 0; else 0)
   --spans-out FILE         write the causal span records as JSON Lines
   --timeseries-out FILE    write epoch-sampled time-series rows as JSON Lines
   --timeseries-every N     sample every N cycles (default 10000 when
-                           --timeseries-out is given, else off)
+                           --timeseries-out is given, which then needs
+                           N > 0; else off)
   ftcoma trace summarize --spans FILE [--top K]
                            print the K slowest transactions with their
                            per-phase decomposition (default 10)
@@ -172,13 +177,26 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     } else {
         Default::default()
     };
-    let default_trace_capacity = if p.has("trace-out") || p.has("trace-jsonl") || p.has("spans-out")
-    {
-        1_000_000
-    } else {
-        0
-    };
-    let default_ts_every = if p.has("timeseries-out") { 10_000 } else { 0 };
+    let traced = ["trace-out", "trace-jsonl", "spans-out"]
+        .into_iter()
+        .find(|&f| p.has(f));
+    let trace_capacity = p.u64_or(
+        "trace-capacity",
+        if traced.is_some() { 1_000_000 } else { 0 },
+    )?;
+    let sampled = p.has("timeseries-out");
+    let timeseries_every = p.u64_or("timeseries-every", if sampled { 10_000 } else { 0 })?;
+    // An output whose sink is switched off would be written empty.
+    if let (Some(flag), 0) = (traced, trace_capacity) {
+        return Err(ArgError(format!(
+            "--{flag} needs a trace: --trace-capacity 0 records nothing"
+        )));
+    }
+    if sampled && timeseries_every == 0 {
+        return Err(ArgError(
+            "--timeseries-out needs samples: --timeseries-every 0 takes none".into(),
+        ));
+    }
     let cfg = MachineConfig {
         nodes: p.int_or("nodes", 16)?,
         refs_per_node: p.u64_or("refs", 60_000)?,
@@ -188,8 +206,8 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
         net,
         seed: p.u64_or("seed", 0xF7C0_3A11)?,
         verify: p.has("verify"),
-        trace_capacity: p.u64_or("trace-capacity", default_trace_capacity)? as usize,
-        timeseries_every: p.u64_or("timeseries-every", default_ts_every)?,
+        trace_capacity: trace_capacity as usize,
+        timeseries_every,
         ..MachineConfig::default()
     };
     cfg.validate().map_err(ArgError)?;

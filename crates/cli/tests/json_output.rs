@@ -476,6 +476,15 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
             r#"{"kind": "router_down", "node": 9, "at": 5000}"#,
         ),
     ];
+    let router_down_4 = temp(
+        "router_down_4.json",
+        r#"{"nodes": [4], "freqs": [400], "refs": 20000, "warmup": 0, "baseline": false,
+            "scenarios": [{"kind": "router_down", "node": 2, "at": 5000}]}"#,
+    );
+    let sink = std::env::temp_dir()
+        .join(format!("ftcoma_test_empty_sink_{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
     // A rate whose period rounds to 0 cycles, and a paper-length run whose
     // period saturates, used to hang the simulator.
     let tiny_freq = temp(
@@ -504,14 +513,32 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
         &["chaos", "--replay", &replays[1]],
         &["chaos", "--replay", &replays[2]],
     ];
-    for args in cases {
+    // A permanent node loss on 4 nodes, and an output whose sink is off.
+    let lines = [
+        "chaos --nodes 4 --cases 40 --seeds 2 --jobs 2".to_string(),
+        "run --workload water --nodes 4 --refs 20000 --warmup 0 --freq 400 --fail-at 5000 --fail-kind permanent --fail-node 1".into(),
+        "failure --workload water --nodes 4 --refs 20000 --warmup 0 --freq 400 --kind permanent --node 2 --at 5000 --repair-at 200000".into(),
+        format!("campaign --spec {router_down_4}"),
+        format!("run --spans-out {sink} --trace-capacity 0"),
+        format!("run --trace-out {sink} --trace-capacity 0"),
+        format!("run --trace-jsonl {sink} --trace-capacity 0"),
+        format!("run --timeseries-out {sink} --timeseries-every 0"),
+        format!("failure --spans-out {sink} --trace-capacity 0"),
+        format!("failure --timeseries-out {sink} --timeseries-every 0"),
+    ];
+    let lines: Vec<Vec<&str>> = lines.iter().map(|l| l.split(' ').collect()).collect();
+    for args in cases.iter().copied().chain(lines.iter().map(Vec::as_slice)) {
         let out = ftcoma(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
-    for path in replays.iter().chain([&spans, &tiny_freq]) {
+    assert!(
+        !std::path::Path::new(&sink).exists(),
+        "a rejected command wrote its output"
+    );
+    for path in replays.iter().chain([&spans, &tiny_freq, &router_down_4]) {
         let _ = std::fs::remove_file(path);
     }
 }

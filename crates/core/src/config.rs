@@ -1,5 +1,7 @@
 //! Fault-tolerance configuration.
 
+use ftcoma_sim::Clock;
+
 /// Whether the Extended Coherence Protocol is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtMode {
@@ -51,10 +53,9 @@ pub enum CommitStrategy {
 pub struct FtConfig {
     /// Protocol mode.
     pub mode: FtMode,
-    /// Recovery points per simulated second (ignored when disabled).
+    /// Recovery points per simulated second of the paper's 20 MHz clock
+    /// ([`Clock::ksr1`]; ignored when disabled).
     pub ckpt_rate_hz: f64,
-    /// Simulated clock frequency in hertz (20 MHz in the paper).
-    pub clock_hz: f64,
     /// Create-phase optimisation: re-label an existing `Shared` replica as
     /// the second recovery copy instead of transferring the item. On by
     /// default; switchable for the ablation benches.
@@ -73,7 +74,6 @@ impl FtConfig {
         Self {
             mode: FtMode::Disabled,
             ckpt_rate_hz: 0.0,
-            clock_hz: 20_000_000.0,
             reuse_shared_replica: true,
             optimized_commit_scan: true,
             commit_strategy: CommitStrategy::Scan,
@@ -111,17 +111,22 @@ impl FtConfig {
             return Err(format!(
                 "checkpoint rate {rate_hz} is above {} recovery points per second: \
                  its period rounds to 0 cycles",
-                2.0 * cfg.clock_hz
+                2.0 * Clock::ksr1().hz()
             ));
         }
         Ok(cfg)
     }
 
     /// Cycles between recovery-point establishments, if enabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an enabled configuration's rate is not positive and
+    /// finite, which [`FtConfig::try_enabled`] rules out.
     pub fn ckpt_period_cycles(&self) -> Option<u64> {
         match self.mode {
             FtMode::Disabled => None,
-            FtMode::Enabled => Some((self.clock_hz / self.ckpt_rate_hz).round() as u64),
+            FtMode::Enabled => Some(Clock::ksr1().period_for_rate_hz(self.ckpt_rate_hz)),
         }
     }
 }

@@ -6,9 +6,8 @@ use ftcoma_core::{
     RecoveryOutcome,
 };
 use ftcoma_mem::{ItemId, ItemState, NodeId};
-use ftcoma_net::{Fabric, LogicalRing, NetClass};
+use ftcoma_net::{Fabric, LogicalRing, MeshGeometry, NetClass};
 use ftcoma_protocol::msg::{InjectCause, Msg};
-use ftcoma_protocol::transport::{backoff, MAX_RETRIES};
 use ftcoma_protocol::NodeState;
 use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{derive_seed, Cycles, EventQueue, FxHashMap};
@@ -21,7 +20,7 @@ use crate::metrics::{NodeMetrics, RunMetrics, TsSample};
 use crate::observer::Observer;
 use crate::processors::Processors;
 use crate::tracelog::TraceEvent;
-use crate::transport::Transport;
+use crate::transport::{backoff, Retry, Transport};
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -61,10 +60,6 @@ enum Event {
     FaultTick,
 }
 
-/// Seed stream for the transport's loss plan (decorrelates it from
-/// workload streams).
-const NET_PLAN_STREAM: u64 = 0xD1A5_7E2C_0FF3_1D07;
-
 /// Seed stream for the continuous fault process installed by
 /// [`Machine::install_fault_process`].
 const FAULT_PROC_STREAM: u64 = 0x8F17_0C55_C0D1_2ED9;
@@ -74,12 +69,6 @@ const FAULT_PROC_STREAM: u64 = 0x8F17_0C55_C0D1_2ED9;
 /// per modified item, so a sampled failure that would breach the floor is
 /// deferred by a fresh MTBF draw instead.
 const FAULT_PROC_MIN_ALIVE: usize = 4;
-
-/// How long a [`Machine::set_message_loss`] window stays open. Bounded so
-/// a lossy episode behaves like a transient network fault rather than a
-/// permanently degraded mesh (which would escalate into node failures with
-/// probability approaching 1 as the run grows).
-const LOSS_WINDOW: Cycles = 16_000;
 
 /// The simulated ft-coma machine. See the crate docs for an example.
 ///
@@ -272,7 +261,7 @@ impl Machine {
 
     /// Installs a seeded message-loss episode: starting at `at`, each
     /// physical packet is dropped with probability `rate_per_mille`/1000
-    /// for a bounded window ([`LOSS_WINDOW`] cycles). The reliable
+    /// for a bounded window of 16 000 cycles. The reliable
     /// transport masks the losses with retransmissions. Activates the
     /// transport and arms its standby loss plan in place, keeping the
     /// plan's seed and send ordinal, so a run forked from a pre-activated
@@ -287,9 +276,7 @@ impl Machine {
             self.cfg.ft.mode.is_enabled(),
             "interconnect faults require the ECP machine"
         );
-        self.activate_transport()
-            .plan
-            .arm_message_loss(rate_per_mille, at, at + LOSS_WINDOW);
+        self.activate_transport().arm_loss(rate_per_mille, at);
     }
 
     /// Switches the machine onto the reliable-transport path from cycle 0
@@ -303,8 +290,8 @@ impl Machine {
     ///
     /// Panics if a message-loss plan is already armed.
     pub fn preactivate_transport(&mut self) {
-        let plan = &self.activate_transport().plan;
-        assert!(plan.rate_per_mille() == 0, "a fault plan is already armed");
+        let armed = self.activate_transport().loss_armed();
+        assert!(!armed, "a fault plan is already armed");
     }
 
     /// The reliable transport, switched on first if the machine is still
@@ -312,12 +299,8 @@ impl Machine {
     /// here; the first installs a zero-rate standby loss plan, and the
     /// transport then stays on for the rest of the run.
     fn activate_transport(&mut self) -> &mut Transport {
-        let (n, seed) = (
-            self.nodes.len(),
-            derive_seed(self.cfg.seed, NET_PLAN_STREAM),
-        );
-        self.transport
-            .get_or_insert_with(|| Transport::new(n, seed))
+        let seed = self.cfg.seed;
+        self.transport.get_or_insert_with(|| Transport::new(seed))
     }
 
     /// Installs the continuous MTBF/MTTR failure–repair process
@@ -349,7 +332,7 @@ impl Machine {
         let links = if cfg.link_mtbf > 0 {
             assert!(self.cfg.bus.is_none(), "link faults need a mesh fabric");
             self.activate_transport();
-            mesh_links(self.nodes.len())
+            MeshGeometry::for_nodes(self.nodes.len()).links()
         } else {
             Vec::new()
         };
@@ -661,7 +644,7 @@ impl Machine {
             Event::NetDeliver { src, to, seq, msg } => self.on_net_deliver(src, to, seq, msg),
             Event::NetAck { src, dst, seq } => {
                 if let Some(t) = &mut self.transport {
-                    t.in_flight.remove(&(src, dst, seq));
+                    t.acked(src, dst, seq);
                 }
             }
             Event::NetRetry { src, dst, seq } => self.on_net_retry(src, dst, seq),
@@ -926,7 +909,7 @@ impl Machine {
                     // the live mesh.
                     if !self.nodes[node.index()].alive
                         || self.ring.alive_count() <= FAULT_PROC_MIN_ALIVE
-                        || !self.kill_keeps_mesh_connected(node)
+                        || !self.mesh_stays_connected(node, false)
                     {
                         fp.defer_node_fail(node, now);
                     } else {
@@ -954,68 +937,33 @@ impl Machine {
         self.fault_process = Some(fp);
     }
 
-    /// Whether the grid of live mesh routers stays connected after
-    /// `victim` dies. A permanent failure takes the router down with the
-    /// node, and the continuous fault process may hold several nodes down
-    /// at once — but it must never partition the live machine: on a
-    /// healthy-link fabric every live pair must stay routable (the
+    /// Whether the live mesh routers stay one grid-connected piece once
+    /// `node` is dead (`alive = false`) or has rejoined (`alive = true`).
+    /// The continuous fault process may hold several nodes down at once,
+    /// but it must never partition the live machine: a kill must not cut
+    /// off live routers, and a repair must wait until a grid neighbour of
+    /// the node is back up, or the node would be live but unroutable (the
     /// fire-and-forget send path treats an unroutable live destination as
-    /// a protocol violation). Cut links are deliberately ignored here:
-    /// when the link process is active the reliable transport is too, and
-    /// it escalates residual partitions instead of asserting.
-    fn kill_keeps_mesh_connected(&self, victim: NodeId) -> bool {
-        if self.cfg.bus.is_some() {
-            return true; // a bus has no routers to lose
-        }
-        self.mesh_single_component(|i| self.nodes[i].alive && i != victim.index())
-    }
-
-    /// Whether the nodes selected by `up` form one mesh-connected
-    /// component (grid adjacency, links assumed healthy — see the caller
-    /// docs for why cut links are ignored).
-    fn mesh_single_component(&self, up: impl Fn(usize) -> bool) -> bool {
-        let n = self.nodes.len();
-        let Some(start) = (0..n).find(|&i| up(i)) else {
-            return false;
-        };
-        let geo = ftcoma_net::MeshGeometry::for_nodes(n);
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(i) = stack.pop() {
-            let (x, y) = geo.coords(NodeId::new(i as u16));
-            for (j, seen_j) in seen.iter_mut().enumerate() {
-                if !*seen_j && up(j) {
-                    let (bx, by) = geo.coords(NodeId::new(j as u16));
-                    if x.abs_diff(bx) + y.abs_diff(by) == 1 {
-                        *seen_j = true;
-                        stack.push(j);
-                    }
+    /// a protocol violation). Cut links are deliberately ignored: when the
+    /// link process is active the reliable transport is too, and it
+    /// escalates residual partitions instead of asserting. A bus has no
+    /// routers to lose.
+    fn mesh_stays_connected(&self, node: NodeId, alive: bool) -> bool {
+        self.cfg.bus.is_some()
+            || MeshGeometry::for_nodes(self.nodes.len()).connected(|i| {
+                if i == node {
+                    alive
+                } else {
+                    self.nodes[i.index()].alive
                 }
-            }
-        }
-        (0..n).filter(|&i| up(i)).all(|i| seen[i])
-    }
-
-    /// Whether rejoining `node` leaves every live router (including the
-    /// rejoined one) in a single mesh component. The dual of
-    /// [`Self::kill_keeps_mesh_connected`]: the continuous fault process
-    /// may ask for a repair while all of the node's grid neighbours are
-    /// still down, and granting it would create a live-but-unroutable
-    /// node. Cut links are ignored for the same reason as on the kill
-    /// side.
-    fn rejoin_reaches_mesh(&self, node: NodeId) -> bool {
-        if self.cfg.bus.is_some() {
-            return true;
-        }
-        self.mesh_single_component(|i| self.nodes[i].alive || i == node.index())
+            })
     }
 
     fn on_repair_request(&mut self, node: NodeId) {
         if self.nodes[node.index()].alive {
             return; // nothing to repair
         }
-        if !self.coord.running() || !self.rejoin_reaches_mesh(node) {
+        if !self.coord.running() || !self.mesh_stays_connected(node, true) {
             // Let the current checkpoint/recovery finish first — or, under
             // the continuous fault process, wait until a mesh neighbour is
             // back up: rejoining a node every live router is dead to would
@@ -1118,7 +1066,7 @@ impl Machine {
         //    with it, so subsequent traffic detours around the dead node
         //    instead of flowing through a ghost router.
         if permanent {
-            self.mesh.fail_node(node);
+            self.mesh.fail_router(node);
             self.ring.mark_dead(node);
             recovery::wipe_dead_node(&mut self.nodes[node.index()]);
             // Its work is adopted by the ring successor.
@@ -1264,9 +1212,9 @@ impl Machine {
                 // matter how many copies fly. Node-local deliveries never
                 // leave the node and need no end-to-end framing.
                 Some(t) if o.to != from => {
-                    let seq = t.open(from, o.to, o.msg, depart);
+                    let seq = t.open(from, o.to, o.msg.clone(), depart);
                     self.coord.sent();
-                    self.transmit(depart, from, o.to, seq);
+                    self.transmit(depart, from, o.to, seq, 0, o.msg);
                 }
                 // Fire-and-forget. A send can only fail once a mesh fault
                 // has removed the route, in which case the destination
@@ -1301,45 +1249,47 @@ impl Machine {
         }
     }
 
-    /// Sends one physical copy of in-flight packet `(src, dst, seq)` and
-    /// arms its retransmission timer. The loss plan may drop the copy; an
-    /// unroutable destination counts as a drop too (the retry timer
-    /// escalates if the route never comes back).
-    fn transmit(&mut self, depart: Cycles, src: NodeId, dst: NodeId, seq: u64) {
+    /// Sends copy `attempt` (0 = the first) of in-flight packet
+    /// `(src, dst, seq)`, carrying `msg`, and arms its retransmission
+    /// timer.
+    fn transmit(&mut self, at: Cycles, src: NodeId, dst: NodeId, seq: u64, attempt: u32, msg: Msg) {
+        if let Some(arrival) = self.send_copy(at, src, dst, msg.class(), msg.payload_bytes()) {
+            if attempt == 0 {
+                self.observer.hops(&msg, dst, self.mesh.last_hops());
+            }
+            let to = dst;
+            self.queue
+                .schedule(arrival, Event::NetDeliver { src, to, seq, msg });
+        }
+        self.queue
+            .schedule(at + backoff(attempt), Event::NetRetry { src, dst, seq });
+    }
+
+    /// Sends one physical copy (data or ack) on the reliable path. Returns
+    /// its arrival, or `None` when the loss plan drops it or no route is
+    /// left; either counts as a dropped message, which the data packet's
+    /// retry timer repairs (or escalates if the route never comes back).
+    fn send_copy(
+        &mut self,
+        at: Cycles,
+        from: NodeId,
+        to: NodeId,
+        class: NetClass,
+        bytes: u64,
+    ) -> Option<Cycles> {
         let t = self
             .transport
             .as_mut()
-            .expect("only the reliable path transmits");
-        let entry = &t.in_flight[&(src, dst, seq)];
-        let attempt = entry.attempts;
-        let (class, bytes) = (entry.msg.class(), entry.msg.payload_bytes());
-        let arrival = if t.plan.decide(depart) {
+            .expect("only the reliable path sends copies");
+        let arrival = if t.drops(at) {
             None
         } else {
-            self.mesh.send(depart, src, dst, class, bytes).ok()
+            self.mesh.send(at, from, to, class, bytes).ok()
         };
-        match arrival {
-            Some(arrival) => {
-                // Clone the copy scheduled: the stored packet must stay in
-                // flight for retransmission.
-                let msg = entry.msg.clone();
-                if attempt == 0 {
-                    self.observer.hops(&msg, dst, self.mesh.last_hops());
-                }
-                self.queue.schedule(
-                    arrival,
-                    Event::NetDeliver {
-                        src,
-                        to: dst,
-                        seq,
-                        msg,
-                    },
-                );
-            }
-            None => self.metrics.net_dropped_msgs += 1,
+        if arrival.is_none() {
+            self.metrics.net_dropped_msgs += 1;
         }
-        self.queue
-            .schedule(depart + backoff(attempt), Event::NetRetry { src, dst, seq });
+        arrival
     }
 
     /// A physical copy of `(src, seq)` reached `to`: ack it, and hand the
@@ -1355,13 +1305,9 @@ impl Machine {
             .transport
             .as_mut()
             .expect("only the reliable path delivers");
-        if !t.first_delivery(to, src, seq) {
+        let Some(sent) = t.first_delivery(src, to, seq) else {
             return; // duplicate suppressed
-        }
-        let sent = t
-            .in_flight
-            .get(&(src, to, seq))
-            .map_or(self.queue.now(), |e| e.sent);
+        };
         self.coord.delivered();
         self.deliver(to, msg, sent);
     }
@@ -1372,25 +1318,10 @@ impl Machine {
     /// packet's retransmission, which triggers a fresh ack.
     fn send_ack(&mut self, from: NodeId, to: NodeId, seq: u64) {
         let now = self.queue.now();
-        let t = self
-            .transport
-            .as_mut()
-            .expect("only the reliable path acks");
-        let arrival = if t.plan.decide(now) {
-            None
-        } else {
-            self.mesh.send(now, from, to, NetClass::Reply, 0).ok()
-        };
-        match arrival {
-            Some(arrival) => self.queue.schedule(
-                arrival,
-                Event::NetAck {
-                    src: to,
-                    dst: from,
-                    seq,
-                },
-            ),
-            None => self.metrics.net_dropped_msgs += 1,
+        if let Some(arrival) = self.send_copy(now, from, to, NetClass::Reply, 0) {
+            let (src, dst) = (to, from);
+            self.queue
+                .schedule(arrival, Event::NetAck { src, dst, seq });
         }
     }
 
@@ -1401,65 +1332,50 @@ impl Machine {
         let Some(t) = &mut self.transport else {
             return;
         };
-        let Some(entry) = t.in_flight.get_mut(&(src, dst, seq)) else {
-            return; // acked in time
-        };
-        self.metrics.net_timeouts += 1;
-        if entry.attempts >= MAX_RETRIES {
-            t.in_flight.remove(&(src, dst, seq));
-            self.escalate(src, dst);
-            return;
+        match t.retry(src, dst, seq) {
+            Retry::Acked => {}
+            Retry::GiveUp => {
+                self.metrics.net_timeouts += 1;
+                self.escalate(src, dst);
+            }
+            Retry::Resend { attempt, msg } => {
+                self.metrics.net_timeouts += 1;
+                self.metrics.net_retries += 1;
+                let now = self.queue.now();
+                self.transmit(now, src, dst, seq, attempt, msg);
+            }
         }
-        entry.attempts += 1;
-        self.metrics.net_retries += 1;
-        let now = self.queue.now();
-        self.transmit(now, src, dst, seq);
     }
 
-    /// The transport gave up on `dst` after [`MAX_RETRIES`]
-    /// retransmissions: decide what that means for the machine. A peer
-    /// that is still routable looks dead, so the single-failure machinery
-    /// handles it. If the mesh is
-    /// severed, the largest connected component of live nodes (ties broken
-    /// towards the one holding the lowest node id) carries on and treats
-    /// the endpoints outside it as failed; when neither endpoint is in the
-    /// majority component, no side can safely reconfigure and the machine
-    /// halts fail-stop with [`RecoveryOutcome::PartitionedNetwork`].
+    /// The transport gave up on `dst` after its last retransmission:
+    /// decide what that means for the machine. A peer that is still
+    /// routable looks dead, so the single-failure machinery handles it. If
+    /// the mesh is severed, the largest connected component of live nodes
+    /// (ties broken towards the one holding the lowest node id) carries on
+    /// and treats the endpoints outside it as failed; when neither endpoint
+    /// is in the majority component, no side can safely reconfigure and
+    /// the machine halts fail-stop with
+    /// [`RecoveryOutcome::PartitionedNetwork`].
     fn escalate(&mut self, src: NodeId, dst: NodeId) {
-        if self.mesh.reachable(src, dst) {
+        // Components are named by their lowest node.
+        let comp = self.mesh.components(self.nodes.len());
+        if comp[src.index()] == comp[dst.index()] {
             // Pure message loss: the peer is unresponsive, not unreachable.
             self.on_failure(dst, FailureKind::Permanent);
             return;
         }
-        let live: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.id)
-            .collect();
-        let mut best: Vec<NodeId> = Vec::new();
-        let mut assigned = vec![false; self.nodes.len()];
-        for &n in &live {
-            if assigned[n.index()] {
-                continue;
-            }
-            let comp: Vec<NodeId> = live
-                .iter()
-                .copied()
-                .filter(|&m| self.mesh.reachable(n, m))
-                .collect();
-            for &m in &comp {
-                assigned[m.index()] = true;
-            }
-            // First strictly-larger component wins; iteration order is by
-            // ascending node id, so ties resolve to the lowest-id one.
-            if comp.len() > best.len() {
-                best = comp;
-            }
+        let mut live = vec![0; comp.len()];
+        for n in self.live_nodes() {
+            live[comp[n.id.index()].index()] += 1;
         }
-        let src_in = best.contains(&src);
-        let dst_in = best.contains(&dst);
-        match (src_in, dst_in) {
+        // The largest component; ties go to the one holding the lowest
+        // live id, since `min_by_key` keeps the first of equal keys.
+        let majority = self
+            .live_nodes()
+            .map(|n| comp[n.id.index()])
+            .min_by_key(|c| std::cmp::Reverse(live[c.index()]));
+        let inside = |x: NodeId| self.nodes[x.index()].alive && Some(comp[x.index()]) == majority;
+        match (inside(src), inside(dst)) {
             (true, false) => self.on_failure(dst, FailureKind::Permanent),
             (false, true) => self.on_failure(src, FailureKind::Permanent),
             _ => {
@@ -1514,25 +1430,6 @@ impl Machine {
             }
         }
     }
-}
-
-/// Every link of the mesh a machine of `n` nodes routes on: one entry per
-/// undirected pair of mesh-adjacent node ids, ordered by ascending
-/// `(low, high)` — the link universe the continuous fault process samples
-/// cuts from.
-fn mesh_links(n: usize) -> Vec<(NodeId, NodeId)> {
-    let geo = ftcoma_net::MeshGeometry::for_nodes(n);
-    let mut links = Vec::new();
-    for i in 0..n {
-        let (ax, ay) = geo.coords(NodeId::new(i as u16));
-        for j in (i + 1)..n {
-            let (bx, by) = geo.coords(NodeId::new(j as u16));
-            if ax.abs_diff(bx) + ay.abs_diff(by) == 1 {
-                links.push((NodeId::new(i as u16), NodeId::new(j as u16)));
-            }
-        }
-    }
-    links
 }
 
 #[cfg(test)]

@@ -69,14 +69,6 @@ impl Fabric {
         }
     }
 
-    /// Ties fabric health to a permanent node failure (mesh: the node's
-    /// router dies with it; bus: no-op).
-    pub fn fail_node(&mut self, node: NodeId) {
-        if let Fabric::Mesh(m) = self {
-            m.fail_node(node);
-        }
-    }
-
     /// Severs a mesh link between two adjacent nodes (bus: no-op).
     ///
     /// # Panics
@@ -114,20 +106,13 @@ impl Fabric {
         }
     }
 
-    /// Is there a healthy route from `from` to `to`? A bus always connects
-    /// all nodes.
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
+    /// For each of the `nodes` nodes, the lowest-id node it can reach
+    /// ([`Mesh::components`]), so two nodes share an entry exactly when a
+    /// healthy route joins them. A bus is one component.
+    pub fn components(&self, nodes: usize) -> Vec<NodeId> {
         match self {
-            Fabric::Mesh(m) => m.reachable(from, to),
-            Fabric::Bus(_) => true,
-        }
-    }
-
-    /// Has no link or router failed?
-    pub fn healthy(&self) -> bool {
-        match self {
-            Fabric::Mesh(m) => m.healthy(),
-            Fabric::Bus(_) => true,
+            Fabric::Mesh(m) => m.components(),
+            Fabric::Bus(_) => vec![NodeId::new(0); nodes],
         }
     }
 
@@ -189,21 +174,23 @@ mod tests {
 
     #[test]
     fn mesh_faults_pass_through_while_a_bus_stays_fault_free() {
+        let one_piece = [NodeId::new(0); 16];
         let mut mesh = Fabric::new(FabricConfig::default(), 16);
-        mesh.fail_node(NodeId::new(1));
-        assert!(!mesh.healthy());
-        assert!(!mesh.reachable(NodeId::new(0), NodeId::new(1)));
+        mesh.fail_router(NodeId::new(1));
+        let comp = mesh.components(16);
+        assert_eq!(
+            (comp[0], comp[1], comp[15]),
+            (one_piece[0], NodeId::new(1), one_piece[0])
+        );
         assert!(mesh
             .send(0, NodeId::new(0), NodeId::new(1), NetClass::Request, 0)
             .is_err());
         mesh.repair_node(NodeId::new(1));
-        assert!(mesh.healthy());
+        assert_eq!(mesh.components(16), one_piece);
 
         let mut bus = Fabric::new(FabricConfig::Bus(BusConfig::default()), 4);
-        bus.fail_node(NodeId::new(1));
         bus.fail_router(NodeId::new(1));
-        assert!(bus.healthy());
-        assert!(bus.reachable(NodeId::new(0), NodeId::new(1)));
+        assert_eq!(bus.components(4), one_piece[..4]);
         assert!(bus
             .send(0, NodeId::new(0), NodeId::new(1), NetClass::Request, 0)
             .is_ok());

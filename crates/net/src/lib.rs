@@ -23,23 +23,23 @@
 //! find a victim AM, including its reconfiguration when a node fails.
 //!
 //! The mesh is also a fault domain (see docs/NETWORK.md): links and routers
-//! can fail at runtime, routing detours around the damage, unreachable
-//! destinations surface as [`mesh::RouteError`], and a seeded
-//! [`fault::NetFaultPlan`] deterministically drops individual messages
-//! for the transport layer above to absorb.
+//! can fail at runtime, routing detours around the damage, and unreachable
+//! destinations surface as [`mesh::RouteError`]. The crate owns the
+//! topology those faults act on: [`MeshGeometry`] lists each node's
+//! neighbours and the mesh's links and tells whether a set of nodes is
+//! grid-connected, and [`Mesh::components`] labels what the damaged mesh
+//! still joins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bus;
 pub mod fabric;
-pub mod fault;
 pub mod mesh;
 pub mod ring;
 
 pub use bus::{Bus, BusConfig};
 pub use fabric::{Fabric, FabricConfig};
-pub use fault::NetFaultPlan;
 pub use mesh::{
     HopSegment, LinkReport, LinkStats, Mesh, MeshGeometry, NetClass, NetConfig, NetStats,
     RouteError, SwitchingModel,

@@ -252,6 +252,63 @@ impl MeshGeometry {
         (i % self.cols, i / self.cols)
     }
 
+    /// The nodes one hop from `node`, in ascending id order. Grid
+    /// positions past the last node are empty and list nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node index is out of range.
+    pub fn neighbours(&self, node: NodeId) -> impl Iterator<Item = NodeId> {
+        let (x, y) = self.coords(node);
+        let (i, cols, nodes) = (node.index(), self.cols, self.nodes);
+        [
+            (y > 0).then(|| i - cols),
+            (x > 0).then(|| i - 1),
+            (x + 1 < cols).then_some(i + 1),
+            Some(i + cols),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(move |&j| j < nodes)
+        .map(|j| NodeId::new(j as u16))
+    }
+
+    /// Every link of the mesh: one `(low, high)` pair per two neighbouring
+    /// nodes, in ascending order.
+    pub fn links(&self) -> Vec<(NodeId, NodeId)> {
+        (0..self.nodes as u16)
+            .map(NodeId::new)
+            .flat_map(|a| {
+                self.neighbours(a)
+                    .filter(move |&b| b > a)
+                    .map(move |b| (a, b))
+            })
+            .collect()
+    }
+
+    /// Whether the nodes `up` selects form one piece of the grid, joined
+    /// by neighbour hops between selected nodes only; `false` when `up`
+    /// selects nothing. Link and router health are the [`Mesh`]'s
+    /// business, not the geometry's, so they play no part here.
+    pub fn connected(&self, up: impl Fn(NodeId) -> bool) -> bool {
+        let mut nodes = (0..self.nodes as u16).map(NodeId::new).filter(|&a| up(a));
+        let Some(start) = nodes.next() else {
+            return false;
+        };
+        let mut seen = vec![false; self.nodes];
+        seen[start.index()] = true;
+        let mut stack = vec![start];
+        while let Some(a) = stack.pop() {
+            for b in self.neighbours(a) {
+                if !seen[b.index()] && up(b) {
+                    seen[b.index()] = true;
+                    stack.push(b);
+                }
+            }
+        }
+        nodes.all(|a| seen[a.index()])
+    }
+
     /// Manhattan distance between two nodes (XY routing path length).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
         let (ax, ay) = self.coords(a);
@@ -440,13 +497,7 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        let ca = self.geo.coords(a);
-        let cb = self.geo.coords(b);
-        assert_eq!(
-            ca.0.abs_diff(cb.0) + ca.1.abs_diff(cb.1),
-            1,
-            "fail_link needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
-        );
+        let (ca, cb) = self.link_between(a, b, "fail_link");
         self.failed_links.insert((ca, cb));
         self.failed_links.insert((cb, ca));
     }
@@ -459,28 +510,26 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn repair_link(&mut self, a: NodeId, b: NodeId) {
-        let ca = self.geo.coords(a);
-        let cb = self.geo.coords(b);
-        assert_eq!(
-            ca.0.abs_diff(cb.0) + ca.1.abs_diff(cb.1),
-            1,
-            "repair_link needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
-        );
+        let (ca, cb) = self.link_between(a, b, "repair_link");
         self.failed_links.remove(&(ca, cb));
         self.failed_links.remove(&(cb, ca));
+    }
+
+    /// The link from `a`'s router to `b`'s; `op` names the caller in the
+    /// panic when the two are not neighbours.
+    fn link_between(&self, a: NodeId, b: NodeId, op: &str) -> Link {
+        let (ca, cb) = (self.geo.coords(a), self.geo.coords(b));
+        assert!(
+            self.geo.neighbours(a).any(|n| n == b),
+            "{op} needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
+        );
+        (ca, cb)
     }
 
     /// Marks `node`'s router failed: no message may traverse or terminate
     /// at it until [`Mesh::repair_router`].
     pub fn fail_router(&mut self, node: NodeId) {
         self.failed_routers.insert(self.geo.coords(node));
-    }
-
-    /// Ties mesh health to a permanent node failure: the dead node's
-    /// router dies with it, so post-reconfiguration traffic can no longer
-    /// be routed through dead hardware.
-    pub fn fail_node(&mut self, node: NodeId) {
-        self.fail_router(node);
     }
 
     /// Restores `node`'s router (a repaired node rejoins the mesh).
@@ -503,9 +552,55 @@ impl Mesh {
         from == to || self.route(from, to).is_ok()
     }
 
+    /// The connected pieces of the mesh as it stands: for each node, the
+    /// lowest-id node it can reach, so two nodes share an entry exactly
+    /// when [`Mesh::reachable`] joins them. Routes may pass the routers of
+    /// dead nodes that still switch and empty grid positions; a node whose
+    /// router failed is a piece of its own. One labelling pass over the
+    /// grid answers every pair at once.
+    pub fn components(&self) -> Vec<NodeId> {
+        let cols = self.geo.cols();
+        let at = |p: usize| (p % cols, p / cols);
+        let index = |(x, y): (usize, usize)| y * cols + x;
+        // Nodes hold the lowest grid positions, so the position a fill
+        // starts from is the lowest node of its piece (if it has any).
+        let mut label = vec![usize::MAX; cols * self.geo.rows()];
+        for start in 0..label.len() {
+            if label[start] != usize::MAX || self.failed_routers.contains(&at(start)) {
+                continue;
+            }
+            label[start] = start;
+            let mut stack = vec![start];
+            while let Some(p) = stack.pop() {
+                for q in self.grid_neighbours(at(p)) {
+                    if label[index(q)] == usize::MAX && self.hop_ok(at(p), q) {
+                        label[index(q)] = start;
+                        stack.push(index(q));
+                    }
+                }
+            }
+        }
+        (0..self.geo.nodes())
+            .map(|i| NodeId::new(if label[i] == usize::MAX { i } else { label[i] } as u16))
+            .collect()
+    }
+
     /// May a message hop from router `a` to the adjacent router `b`?
     fn hop_ok(&self, a: (usize, usize), b: (usize, usize)) -> bool {
         !self.failed_routers.contains(&b) && !self.failed_links.contains(&(a, b))
+    }
+
+    /// The grid positions (empty ones included) one hop from `(x, y)`, in
+    /// the fixed `+x, -x, +y, -y` order that keeps detours deterministic.
+    fn grid_neighbours(&self, (x, y): (usize, usize)) -> impl Iterator<Item = (usize, usize)> {
+        [
+            (x + 1 < self.geo.cols()).then_some((x + 1, y)),
+            (x > 0).then(|| (x - 1, y)),
+            (y + 1 < self.geo.rows()).then_some((x, y + 1)),
+            (y > 0).then(|| (x, y - 1)),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// The healthy route from `from` to `to`: the XY path when it is
@@ -533,21 +628,8 @@ impl Mesh {
         let mut queue = VecDeque::new();
         seen[idx(src)] = true;
         queue.push_back(src);
-        'bfs: while let Some(at @ (x, y)) = queue.pop_front() {
-            let mut neighbours = [None; 4];
-            if x + 1 < cols {
-                neighbours[0] = Some((x + 1, y));
-            }
-            if x > 0 {
-                neighbours[1] = Some((x - 1, y));
-            }
-            if y + 1 < rows {
-                neighbours[2] = Some((x, y + 1));
-            }
-            if y > 0 {
-                neighbours[3] = Some((x, y - 1));
-            }
-            for nb in neighbours.into_iter().flatten() {
+        'bfs: while let Some(at) = queue.pop_front() {
+            for nb in self.grid_neighbours(at) {
                 if !seen[idx(nb)] && self.hop_ok(at, nb) {
                     seen[idx(nb)] = true;
                     parent[idx(nb)] = Some(at);
@@ -912,7 +994,7 @@ mod tests {
     #[test]
     fn send_to_failed_node_is_a_route_error_not_a_phantom_arrival() {
         let mut mesh = Mesh::new(MeshGeometry::for_nodes(16), NetConfig::default());
-        mesh.fail_node(n(5));
+        mesh.fail_router(n(5));
         assert!(mesh.router_failed(n(5)));
         assert_eq!(
             mesh.send(0, n(0), n(5), NetClass::Request, 0),
@@ -932,7 +1014,7 @@ mod tests {
     #[test]
     fn traffic_detours_around_a_permanently_failed_node() {
         let mut mesh = Mesh::new(MeshGeometry::for_nodes(16), NetConfig::default());
-        mesh.fail_node(n(1));
+        mesh.fail_router(n(1));
         let t = mesh.send(0, n(0), n(2), NetClass::Request, 0).unwrap();
         // 4-hop detour at zero load: 8 + 4*4 + 4 = 28 cycles.
         assert_eq!(t, 28);
@@ -1015,6 +1097,93 @@ mod tests {
             "link out of a failed router must report dead"
         );
         assert!(report[2].alive);
+    }
+
+    #[test]
+    fn neighbours_and_links_are_the_grid_pairs_in_ascending_order() {
+        // 13 nodes fill a 4x4 grid with three empty positions.
+        for nodes in [1u16, 2, 4, 9, 13, 16] {
+            let g = MeshGeometry::for_nodes(usize::from(nodes));
+            for a in (0..nodes).map(n) {
+                let near = (0..nodes).map(n).filter(|&b| g.hops(a, b) == 1);
+                assert!(g.neighbours(a).eq(near), "{a} of {nodes}");
+            }
+            let pairs = (0..nodes).flat_map(|a| (a + 1..nodes).map(move |b| (n(a), n(b))));
+            let links = pairs.filter(|&(a, b)| g.hops(a, b) == 1);
+            assert!(g.links().into_iter().eq(links), "{nodes} nodes");
+        }
+        // Node 9 of 13 sits at (1, 2), above an empty position.
+        let below_empty = MeshGeometry::for_nodes(13).neighbours(n(9));
+        assert!(below_empty.eq([n(5), n(8), n(10)]));
+    }
+
+    #[test]
+    fn connected_joins_only_neighbouring_selected_nodes() {
+        let g = MeshGeometry::for_nodes(9); // 3x3
+        let without = |down: &[usize]| g.connected(|a| !down.contains(&a.index()));
+        assert!(without(&[]) && without(&[4]), "the ring around the middle");
+        assert!(
+            !without(&[1, 4, 7]) && !without(&[1, 3]),
+            "a split, a lone corner"
+        );
+        assert!(!without(&[0, 1, 2, 3, 4, 5, 6, 7, 8]), "nothing selected");
+        assert!(g.connected(|a| a == n(8)));
+        assert!(
+            !g.connected(|a| a == n(0) || a == n(4)),
+            "diagonals do not touch"
+        );
+        // Empty positions carry nothing: node 12 of 13 touches only node 8.
+        assert!(!MeshGeometry::for_nodes(13).connected(|a| a != n(8)));
+    }
+
+    #[test]
+    fn components_agree_with_reachable_for_every_pair() {
+        let check = |mesh: &Mesh| {
+            let nodes = (0..mesh.geometry().nodes() as u16).map(n);
+            let comp = mesh.components();
+            for a in nodes.clone() {
+                let lowest = nodes.clone().find(|&b| mesh.reachable(a, b));
+                assert_eq!(Some(comp[a.index()]), lowest, "{a}");
+                for b in nodes.clone() {
+                    let joined = comp[a.index()] == comp[b.index()];
+                    assert_eq!(joined, mesh.reachable(a, b), "{a} -> {b}");
+                }
+            }
+        };
+        // Every failed router alone, and every pair of cut links with and
+        // without a failed router, on a full grid and one with gaps.
+        for nodes in [9, 13] {
+            let g = MeshGeometry::for_nodes(nodes);
+            let fresh = || Mesh::new(g, NetConfig::default());
+            check(&fresh());
+            for r in 0..nodes as u16 {
+                let mut mesh = fresh();
+                mesh.fail_router(n(r));
+                check(&mesh);
+            }
+            let links = g.links();
+            for (i, &(a, b)) in links.iter().enumerate() {
+                for &(c, d) in &links[i + 1..] {
+                    let mut mesh = fresh();
+                    mesh.fail_link(a, b);
+                    mesh.fail_link(c, d);
+                    check(&mesh);
+                    mesh.fail_router(n(4));
+                    check(&mesh);
+                }
+            }
+        }
+        // Node 12 of 13 still reaches the rest through the empty position
+        // to its right once its one link to a node is cut.
+        let mut mesh = Mesh::new(MeshGeometry::for_nodes(13), NetConfig::default());
+        mesh.fail_link(n(12), n(8));
+        assert_eq!(mesh.components()[12], n(0));
+        // Isolating two corners of a 3x3 leaves three pieces.
+        let mut mesh = Mesh::new(MeshGeometry::for_nodes(9), NetConfig::default());
+        for (a, b) in [(0, 1), (0, 3), (8, 7), (8, 5)] {
+            mesh.fail_link(n(a), n(b));
+        }
+        assert_eq!(mesh.components(), [0, 1, 1, 1, 1, 1, 1, 1, 8].map(n));
     }
 
     // Satellite: wormhole switching under contention *and* a failed link —

@@ -14,10 +14,6 @@
 //!   node which is the current owner of the item");
 //! * [`timing::MemTiming`] — node-local access latencies (Table 2
 //!   calibration together with `ftcoma-net`);
-//! * [`transport::SeqSpace`] / [`transport::DedupFilter`] — the reliable
-//!   end-to-end transport bookkeeping (per-destination sequence numbers,
-//!   duplicate suppression, bounded exponential backoff) that the network
-//!   interface layers over a faulty mesh;
 //! * [`node::NodeState`] — everything a node owns: cache, attraction
 //!   memory, home table, directory, and transient protocol bookkeeping.
 //!
@@ -33,7 +29,6 @@ pub mod home;
 pub mod msg;
 pub mod node;
 pub mod timing;
-pub mod transport;
 
 pub use dir::OwnerDirectory;
 pub use home::{HomeTable, QueuedReq};

@@ -160,3 +160,36 @@ fn permanent_node_failure_kills_its_router() {
         .filter(|l| l.from != dead_router && l.to != dead_router)
         .all(|l| l.alive));
 }
+
+/// Both ways an exhausted transport escalates, on a 3x3 mesh. Cutting
+/// corner 0's two links leaves it alone against a live majority, which
+/// carries on and fails it; cutting corner 8 off as well makes 8 give up
+/// on 0 with neither of them in the majority, so no side can safely
+/// reconfigure and the machine halts.
+#[test]
+fn escalation_fails_a_cut_off_node_or_halts_on_a_partition() {
+    let run = |cuts: &[(u16, u16)]| {
+        let mut machine = Machine::new(MachineConfig {
+            nodes: 9,
+            refs_per_node: 20_000,
+            ft: FtConfig::enabled(400.0),
+            ..base()
+        });
+        for &(a, b) in cuts {
+            machine.schedule_link_cut(30_000, NodeId::new(a), NodeId::new(b));
+        }
+        let m = machine.run();
+        let dead = machine.nodes().iter().filter(|n| !n.alive).map(|n| n.id);
+        (m, machine.outcome().clone(), dead.collect::<Vec<_>>())
+    };
+    let (m, outcome, dead) = run(&[(0, 1), (0, 3)]);
+    assert_eq!(outcome, RecoveryOutcome::Recovered);
+    assert_eq!((m.failures, m.faults_survived), (1, 1));
+    assert_eq!(dead, [NodeId::new(0)]);
+    let (_, outcome, _) = run(&[(0, 1), (0, 3), (8, 7), (8, 5)]);
+    let (from, to) = (NodeId::new(8), NodeId::new(0));
+    assert!(
+        matches!(outcome, RecoveryOutcome::PartitionedNetwork { from: f, to: t, .. } if (f, t) == (from, to)),
+        "{outcome:?}"
+    );
+}
