@@ -123,11 +123,29 @@ fn bench_mesh() {
         black_box(mesh.send(t, NodeId::new(3), NodeId::new(52), NetClass::Reply, 128)).unwrap();
     });
     // Same traffic on a degraded mesh: the XY path crosses a failed router,
-    // so every send pays the breadth-first misroute fallback.
+    // so every send detours. The first send finds the detour breadth-first
+    // and the rest reuse it from the mesh's route cache.
     let mut mesh = Mesh::new(MeshGeometry::for_nodes(56), NetConfig::default());
     mesh.fail_router(NodeId::new(28));
     let mut t = 0u64;
     bench("mesh_send_item_detoured", 15, 100_000, || {
+        t += 10;
+        black_box(mesh.send(t, NodeId::new(3), NodeId::new(52), NetClass::Reply, 128)).unwrap();
+    });
+    // The detoured traffic while the link from node 4 to node 12, also on
+    // the XY path, is cut and repaired in turn every 64 sends. Each change
+    // empties the route cache, so the first send after it pays for the
+    // breadth-first search again.
+    let mut mesh = Mesh::new(MeshGeometry::for_nodes(56), NetConfig::default());
+    mesh.fail_router(NodeId::new(28));
+    let (mut t, mut sends) = (0u64, 0u64);
+    bench("mesh_send_link_churn", 15, 100_000, || {
+        match sends % 128 {
+            0 => mesh.fail_link(NodeId::new(4), NodeId::new(12)),
+            64 => mesh.repair_link(NodeId::new(4), NodeId::new(12)),
+            _ => {}
+        }
+        sends += 1;
         t += 10;
         black_box(mesh.send(t, NodeId::new(3), NodeId::new(52), NetClass::Reply, 128)).unwrap();
     });

@@ -232,3 +232,27 @@ fn forking_inside_an_active_loss_episode_matches_a_straight_run() {
     assert_eq!(forked.owner_image(), straight.owner_image());
     assert_eq!(forked.stream_progress(), straight.stream_progress());
 }
+
+#[test]
+fn forking_after_a_link_cut_matches_a_straight_run() {
+    // Straight: both cuts scheduled before the run.
+    let mut straight = Machine::new(cfg());
+    straight.schedule_link_cut(2_000, NodeId::new(0), NodeId::new(1));
+    straight.schedule_link_cut(5_000, NodeId::new(5), NodeId::new(6));
+    let want = straight.run();
+    assert!(want.net_detour_hops > 0, "the cuts must divert traffic");
+
+    // Forked: the snapshot lands on a damaged mesh whose route cache the
+    // traffic since the first cut has filled; the second cut, scheduled
+    // after the fork, must empty the fork's copy of that cache.
+    let mut prefix = Machine::new(cfg());
+    prefix.schedule_link_cut(2_000, NodeId::new(0), NodeId::new(1));
+    prefix.run_until(3_500);
+    let mut forked = prefix.snapshot().to_machine();
+    forked.schedule_link_cut(5_000, NodeId::new(5), NodeId::new(6));
+    let got = forked.run();
+    assert_eq!(got, want);
+    assert_eq!(forked.owner_image(), straight.owner_image());
+    assert_eq!(forked.stream_progress(), straight.stream_progress());
+    assert_eq!(forked.link_report(), straight.link_report());
+}

@@ -5,11 +5,36 @@
 //! detours around the damage (XY with a deterministic breadth-first
 //! misroute fallback) and destinations with no healthy path are reported
 //! as a typed [`RouteError`] instead of a phantom arrival.
+//!
+//! Link and fault state live in flat arrays indexed by grid position,
+//! direction and sub-network. A send on a healthy mesh walks its XY path
+//! into buffers the mesh reuses, so it allocates nothing; on a damaged
+//! mesh each (source, destination) route is computed once and cached
+//! until the next fault or repair.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use ftcoma_mem::NodeId;
 use ftcoma_sim::{Cycles, FxHashMap};
+
+// Hop directions, in the fixed `+x, -x, +y, -y` order that keeps detours
+// deterministic. A grid position is `y * cols + x`, so node `i` sits at
+// position `i`, and the directed link leaving position `p` in direction
+// `d` is numbered `p * DIRS + d`.
+const PLUS_X: usize = 0;
+const MINUS_X: usize = 1;
+const PLUS_Y: usize = 2;
+const MINUS_Y: usize = 3;
+const DIRS: usize = 4;
+
+/// The sub-networks in index order.
+const CLASSES: [NetClass; 2] = [NetClass::Request, NetClass::Reply];
+
+/// Where the state of a directed link on one sub-network sits in the
+/// mesh's per-link arrays.
+fn slot(link: usize, class: NetClass) -> usize {
+    link * CLASSES.len() + class as usize
+}
 
 /// Which physical sub-network a message travels on.
 ///
@@ -316,23 +341,61 @@ impl MeshGeometry {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
     }
 
-    /// The XY-routing path from `a` to `b` as a list of directed unit links
-    /// `((x, y), (x', y'))`: first all X movement, then all Y movement.
-    pub fn path(&self, a: NodeId, b: NodeId) -> Vec<((usize, usize), (usize, usize))> {
-        let (mut x, mut y) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b) as usize);
-        while x != bx {
-            let nx = if bx > x { x + 1 } else { x - 1 };
-            links.push(((x, y), (nx, y)));
-            x = nx;
+    /// Grid positions, empty ones included.
+    fn positions(&self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// The grid position of `node` (see [`MeshGeometry::coords`]).
+    fn position(&self, node: NodeId) -> usize {
+        let (x, y) = self.coords(node);
+        y * self.cols + x
+    }
+
+    /// The position one hop from `p` in direction `dir`, if it is on the
+    /// grid.
+    fn step(&self, p: usize, dir: usize) -> Option<usize> {
+        let (x, y) = (p % self.cols, p / self.cols);
+        match dir {
+            PLUS_X => (x + 1 < self.cols).then_some(p + 1),
+            MINUS_X => (x > 0).then(|| p - 1),
+            PLUS_Y => (y + 1 < self.rows).then_some(p + self.cols),
+            _ => (y > 0).then(|| p - self.cols),
         }
-        while y != by {
-            let ny = if by > y { y + 1 } else { y - 1 };
-            links.push(((x, y), (x, ny)));
-            y = ny;
+    }
+
+    /// The position a directed link on the grid leads to.
+    fn head(&self, link: usize) -> usize {
+        let p = link / DIRS;
+        match link % DIRS {
+            PLUS_X => p + 1,
+            MINUS_X => p - 1,
+            PLUS_Y => p + self.cols,
+            _ => p - self.cols,
         }
-        links
+    }
+
+    /// The coordinates a directed link leaves and enters.
+    fn ends(&self, link: usize) -> ((usize, usize), (usize, usize)) {
+        let at = |p: usize| (p % self.cols, p / self.cols);
+        (at(link / DIRS), at(self.head(link)))
+    }
+
+    /// Appends the XY-routing path from `a` to `b` to `links`: first all X
+    /// movement, then all Y movement.
+    fn xy_links(&self, a: NodeId, b: NodeId, links: &mut Vec<usize>) {
+        let ((ax, ay), (bx, by)) = (self.coords(a), self.coords(b));
+        let mut p = a.index();
+        for (dir, len) in [
+            (if bx > ax { PLUS_X } else { MINUS_X }, ax.abs_diff(bx)),
+            (if by > ay { PLUS_Y } else { MINUS_Y }, ay.abs_diff(by)),
+        ] {
+            for _ in 0..len {
+                let link = p * DIRS + dir;
+                links.push(link);
+                p = self.head(link);
+            }
+        }
     }
 }
 
@@ -351,8 +414,6 @@ pub struct NetStats {
     /// detouring around failed links or routers.
     pub detour_hops: u64,
 }
-
-type Link = ((usize, usize), (usize, usize));
 
 /// Per-link accumulated statistics (one directed link on one sub-network).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -410,23 +471,48 @@ impl LinkReport {
 pub struct Mesh {
     geo: MeshGeometry,
     cfg: NetConfig,
-    /// Next-free time of each directed link, per sub-network.
-    link_free: FxHashMap<(Link, NetClass), Cycles>,
+    /// Each directed link on each sub-network, at its [`slot`].
+    links: Vec<LinkState>,
     stats: NetStats,
-    /// Per-link breakdown of the aggregate statistics.
-    link_stats: FxHashMap<(Link, NetClass), LinkStats>,
-    /// Severed links (both directions of a cut are inserted). `BTreeSet`
-    /// keeps iteration — and therefore any derived output — deterministic.
-    failed_links: BTreeSet<Link>,
-    /// Failed routers by coordinate; no message may traverse or terminate
-    /// at a failed router.
-    failed_routers: BTreeSet<(usize, usize)>,
+    /// Severed directed links (a cut severs both directions).
+    cut: Vec<bool>,
+    /// Failed routers by grid position; no message may traverse or
+    /// terminate at a failed router.
+    dead: Vec<bool>,
+    /// Cut links (each counted once) plus failed routers, so
+    /// [`Mesh::healthy`] need not scan.
+    faults: usize,
+    /// The route of every (source, destination) pair sent between since
+    /// the last fault or repair; only consulted while the mesh is damaged.
+    routes: FxHashMap<(NodeId, NodeId), Result<Route, RouteError>>,
     /// When set, [`Mesh::send`] records the per-hop occupancy segments of
     /// the last routed message for the span exporter. Pure observation:
     /// arrival times and statistics are identical either way.
     hop_trace: bool,
     /// The last traced message's hops (see [`Mesh::last_hops`]).
     last_hops: Vec<HopSegment>,
+    /// The links of the message being sent, reused from send to send.
+    path: Vec<usize>,
+    /// The cycle the header claims each link of `path`, reused likewise.
+    claims: Vec<Cycles>,
+}
+
+/// One directed link on one sub-network.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkState {
+    /// When the link is next free; 0 for a link never claimed.
+    free: Cycles,
+    /// This link's share of the aggregate statistics; a link that never
+    /// carried a message has `messages == 0`.
+    stats: LinkStats,
+}
+
+/// A route through a damaged mesh: its links and the extra hops they take
+/// beyond the Manhattan distance.
+#[derive(Debug, Clone)]
+struct Route {
+    links: Box<[usize]>,
+    detour: u64,
 }
 
 /// One traversed hop of a traced message: the directed link plus the
@@ -447,16 +533,22 @@ pub struct HopSegment {
 impl Mesh {
     /// Creates an idle, fully healthy mesh.
     pub fn new(geo: MeshGeometry, cfg: NetConfig) -> Self {
+        let positions = geo.positions();
+        let directed = positions * DIRS;
         Self {
             geo,
             cfg,
-            link_free: FxHashMap::default(),
+            links: vec![LinkState::default(); directed * CLASSES.len()],
             stats: NetStats::default(),
-            link_stats: FxHashMap::default(),
-            failed_links: BTreeSet::new(),
-            failed_routers: BTreeSet::new(),
+            cut: vec![false; directed],
+            dead: vec![false; positions],
+            faults: 0,
+            routes: FxHashMap::default(),
             hop_trace: false,
             last_hops: Vec::new(),
+            // No route is longer than a walk through every grid position.
+            path: Vec::with_capacity(positions),
+            claims: Vec::with_capacity(positions),
         }
     }
 
@@ -497,9 +589,7 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
-        let (ca, cb) = self.link_between(a, b, "fail_link");
-        self.failed_links.insert((ca, cb));
-        self.failed_links.insert((cb, ca));
+        self.set_cut(a, b, true, "fail_link");
     }
 
     /// Restores a severed link between the routers of `a` and `b` (both
@@ -510,41 +600,66 @@ impl Mesh {
     ///
     /// Panics if the two nodes are not mesh-adjacent.
     pub fn repair_link(&mut self, a: NodeId, b: NodeId) {
-        let (ca, cb) = self.link_between(a, b, "repair_link");
-        self.failed_links.remove(&(ca, cb));
-        self.failed_links.remove(&(cb, ca));
+        self.set_cut(a, b, false, "repair_link");
     }
 
-    /// The link from `a`'s router to `b`'s; `op` names the caller in the
-    /// panic when the two are not neighbours.
-    fn link_between(&self, a: NodeId, b: NodeId, op: &str) -> Link {
+    /// Cuts (`cut`) or restores both directions of the link between the
+    /// routers of `a` and `b`, and forgets every cached route; `op` names
+    /// the caller in the panic when the two are not neighbours.
+    fn set_cut(&mut self, a: NodeId, b: NodeId, cut: bool, op: &str) {
         let (ca, cb) = (self.geo.coords(a), self.geo.coords(b));
-        assert!(
-            self.geo.neighbours(a).any(|n| n == b),
-            "{op} needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
-        );
-        (ca, cb)
+        let (pa, pb) = (a.index(), b.index());
+        let Some(dir) = (0..DIRS).find(|&d| self.geo.step(pa, d) == Some(pb)) else {
+            panic!("{op} needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}");
+        };
+        // `dir ^ 1` is the opposite direction: +x/-x and +y/-y pair up.
+        let (ab, ba) = (pa * DIRS + dir, pb * DIRS + (dir ^ 1));
+        if self.cut[ab] != cut {
+            self.cut[ab] = cut;
+            self.cut[ba] = cut;
+            if cut {
+                self.faults += 1;
+            } else {
+                self.faults -= 1;
+            }
+        }
+        self.routes.clear();
     }
 
     /// Marks `node`'s router failed: no message may traverse or terminate
     /// at it until [`Mesh::repair_router`].
     pub fn fail_router(&mut self, node: NodeId) {
-        self.failed_routers.insert(self.geo.coords(node));
+        self.set_dead(node, true);
     }
 
     /// Restores `node`'s router (a repaired node rejoins the mesh).
     pub fn repair_router(&mut self, node: NodeId) {
-        self.failed_routers.remove(&self.geo.coords(node));
+        self.set_dead(node, false);
+    }
+
+    /// Fails (`dead`) or restores `node`'s router, and forgets every
+    /// cached route.
+    fn set_dead(&mut self, node: NodeId, dead: bool) {
+        let p = self.geo.position(node);
+        if self.dead[p] != dead {
+            self.dead[p] = dead;
+            if dead {
+                self.faults += 1;
+            } else {
+                self.faults -= 1;
+            }
+        }
+        self.routes.clear();
     }
 
     /// Is `node`'s router currently failed?
     pub fn router_failed(&self, node: NodeId) -> bool {
-        self.failed_routers.contains(&self.geo.coords(node))
+        self.dead[self.geo.position(node)]
     }
 
     /// Has neither a link nor a router failed?
     pub fn healthy(&self) -> bool {
-        self.failed_links.is_empty() && self.failed_routers.is_empty()
+        self.faults == 0
     }
 
     /// Is there a healthy route from `from` to `to`?
@@ -559,23 +674,20 @@ impl Mesh {
     /// router failed is a piece of its own. One labelling pass over the
     /// grid answers every pair at once.
     pub fn components(&self) -> Vec<NodeId> {
-        let cols = self.geo.cols();
-        let at = |p: usize| (p % cols, p / cols);
-        let index = |(x, y): (usize, usize)| y * cols + x;
         // Nodes hold the lowest grid positions, so the position a fill
         // starts from is the lowest node of its piece (if it has any).
-        let mut label = vec![usize::MAX; cols * self.geo.rows()];
+        let mut label = vec![usize::MAX; self.geo.positions()];
         for start in 0..label.len() {
-            if label[start] != usize::MAX || self.failed_routers.contains(&at(start)) {
+            if label[start] != usize::MAX || self.dead[start] {
                 continue;
             }
             label[start] = start;
             let mut stack = vec![start];
             while let Some(p) = stack.pop() {
-                for q in self.grid_neighbours(at(p)) {
-                    if label[index(q)] == usize::MAX && self.hop_ok(at(p), q) {
-                        label[index(q)] = start;
-                        stack.push(index(q));
+                for q in (0..DIRS).filter_map(|dir| self.live_step(p, dir)) {
+                    if label[q] == usize::MAX {
+                        label[q] = start;
+                        stack.push(q);
                     }
                 }
             }
@@ -585,74 +697,93 @@ impl Mesh {
             .collect()
     }
 
-    /// May a message hop from router `a` to the adjacent router `b`?
-    fn hop_ok(&self, a: (usize, usize), b: (usize, usize)) -> bool {
-        !self.failed_routers.contains(&b) && !self.failed_links.contains(&(a, b))
+    /// May a message cross this directed link: is it intact, and is the
+    /// router it leads to alive?
+    fn live(&self, link: usize) -> bool {
+        !self.cut[link] && !self.dead[self.geo.head(link)]
     }
 
-    /// The grid positions (empty ones included) one hop from `(x, y)`, in
-    /// the fixed `+x, -x, +y, -y` order that keeps detours deterministic.
-    fn grid_neighbours(&self, (x, y): (usize, usize)) -> impl Iterator<Item = (usize, usize)> {
-        [
-            (x + 1 < self.geo.cols()).then_some((x + 1, y)),
-            (x > 0).then(|| (x - 1, y)),
-            (y + 1 < self.geo.rows()).then_some((x, y + 1)),
-            (y > 0).then(|| (x, y - 1)),
-        ]
-        .into_iter()
-        .flatten()
+    /// The position one live hop from `p` in direction `dir`, if any.
+    fn live_step(&self, p: usize, dir: usize) -> Option<usize> {
+        let q = self.geo.step(p, dir)?;
+        self.live(p * DIRS + dir).then_some(q)
     }
 
     /// The healthy route from `from` to `to`: the XY path when it is
     /// intact, otherwise the shortest detour over healthy links and
     /// routers (breadth-first misroute with a fixed `+x, -x, +y, -y`
-    /// neighbour order, so the chosen detour is deterministic). Returns
-    /// the links and the extra hops relative to the Manhattan distance.
-    fn route(&self, from: NodeId, to: NodeId) -> Result<(Vec<Link>, u64), RouteError> {
-        let xy = self.geo.path(from, to);
-        if self.healthy() {
-            return Ok((xy, 0));
+    /// neighbour order, so the chosen detour is deterministic).
+    fn route(&self, from: NodeId, to: NodeId) -> Result<Route, RouteError> {
+        let unreachable = Err(RouteError::Unreachable { from, to });
+        let (src, dst) = (self.geo.position(from), self.geo.position(to));
+        if self.dead[src] || self.dead[dst] {
+            return unreachable;
         }
-        let src = self.geo.coords(from);
-        let dst = self.geo.coords(to);
-        if self.failed_routers.contains(&src) || self.failed_routers.contains(&dst) {
-            return Err(RouteError::Unreachable { from, to });
+        let mut links = Vec::new();
+        self.geo.xy_links(from, to, &mut links);
+        if links.iter().all(|&link| self.live(link)) {
+            return Ok(Route {
+                links: links.into(),
+                detour: 0,
+            });
         }
-        if xy.iter().all(|&(a, b)| self.hop_ok(a, b)) {
-            return Ok((xy, 0));
-        }
-        let (cols, rows) = (self.geo.cols(), self.geo.rows());
-        let idx = |(x, y): (usize, usize)| y * cols + x;
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; cols * rows];
-        let mut seen = vec![false; cols * rows];
+        // The link each reached position was first reached over.
+        let mut parent = vec![usize::MAX; self.geo.positions()];
+        let mut seen = vec![false; self.geo.positions()];
         let mut queue = VecDeque::new();
-        seen[idx(src)] = true;
+        seen[src] = true;
         queue.push_back(src);
-        'bfs: while let Some(at) = queue.pop_front() {
-            for nb in self.grid_neighbours(at) {
-                if !seen[idx(nb)] && self.hop_ok(at, nb) {
-                    seen[idx(nb)] = true;
-                    parent[idx(nb)] = Some(at);
-                    if nb == dst {
+        'bfs: while let Some(p) = queue.pop_front() {
+            for dir in 0..DIRS {
+                let Some(q) = self.live_step(p, dir) else {
+                    continue;
+                };
+                if !seen[q] {
+                    seen[q] = true;
+                    parent[q] = p * DIRS + dir;
+                    if q == dst {
                         break 'bfs;
                     }
-                    queue.push_back(nb);
+                    queue.push_back(q);
                 }
             }
         }
-        if !seen[idx(dst)] {
-            return Err(RouteError::Unreachable { from, to });
+        if !seen[dst] {
+            return unreachable;
         }
-        let mut links = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let prev = parent[idx(cur)].expect("reached routers have parents");
-            links.push((prev, cur));
-            cur = prev;
+        links.clear();
+        let mut at = dst;
+        while at != src {
+            links.push(parent[at]);
+            at = parent[at] / DIRS;
         }
         links.reverse();
         let detour = links.len() as u64 - self.geo.hops(from, to);
-        Ok((links, detour))
+        Ok(Route {
+            links: links.into(),
+            detour,
+        })
+    }
+
+    /// Loads the route from `from` to `to` into `self.path` and returns
+    /// its detour hops: the XY path on a healthy mesh, otherwise the
+    /// current fault epoch's route, computed on its first use.
+    fn load_path(&mut self, from: NodeId, to: NodeId) -> Result<u64, RouteError> {
+        self.path.clear();
+        if self.healthy() {
+            self.geo.xy_links(from, to, &mut self.path);
+            return Ok(0);
+        }
+        let route = match self.routes.get(&(from, to)) {
+            Some(route) => route,
+            None => {
+                let route = self.route(from, to);
+                self.routes.entry((from, to)).or_insert(route)
+            }
+        };
+        let route = route.as_ref().map_err(|&e| e)?;
+        self.path.extend_from_slice(&route.links);
+        Ok(route.detour)
     }
 
     /// Sends a message at time `now`; returns its arrival time at `to`, or
@@ -681,31 +812,31 @@ impl Mesh {
             self.stats.payload_bytes += payload_bytes;
             return Ok(now + self.cfg.local_delay);
         }
-        let (path, detour) = self.route(from, to)?;
+        let detour = self.load_path(from, to)?;
         self.stats.messages += 1;
         self.stats.payload_bytes += payload_bytes;
         self.stats.detour_hops += detour;
         let flits = self.cfg.flits(payload_bytes);
         // Forward pass: when does the header claim each link?
-        let mut starts = Vec::with_capacity(path.len());
+        self.claims.clear();
         let mut head = now + self.cfg.ni_overhead;
-        for &link in &path {
-            let free = self.link_free.get(&(link, class)).copied().unwrap_or(0);
-            let start = head.max(free);
+        for &link in &self.path {
+            let state = &mut self.links[slot(link, class)];
+            let start = head.max(state.free);
             self.stats.contention_cycles += start - head;
-            let per = self.link_stats.entry((link, class)).or_default();
-            per.messages += 1;
-            per.contention_cycles += start - head;
-            starts.push(start);
+            state.stats.messages += 1;
+            state.stats.contention_cycles += start - head;
+            self.claims.push(start);
             head = start + self.cfg.router_delay;
         }
         let arrival = head + flits;
         if self.hop_trace {
-            for (i, (&(a, b), &start)) in path.iter().zip(&starts).enumerate() {
-                let end = starts.get(i + 1).copied().unwrap_or(arrival);
+            for (i, (&link, &start)) in self.path.iter().zip(&self.claims).enumerate() {
+                let (from, to) = self.geo.ends(link);
+                let end = self.claims.get(i + 1).copied().unwrap_or(arrival);
                 self.last_hops.push(HopSegment {
-                    from: a,
-                    to: b,
+                    from,
+                    to,
                     start,
                     end,
                 });
@@ -714,13 +845,11 @@ impl Mesh {
         match self.cfg.switching {
             SwitchingModel::VirtualCutThrough => {
                 // Each link is held for the serialization time only.
-                for (&link, &start) in path.iter().zip(&starts) {
-                    self.link_free.insert((link, class), start + flits);
+                for (&link, &start) in self.path.iter().zip(&self.claims) {
+                    let state = &mut self.links[slot(link, class)];
+                    state.free = start + flits;
+                    state.stats.busy_cycles += flits;
                     self.stats.link_busy_cycles += flits;
-                    self.link_stats
-                        .entry((link, class))
-                        .or_default()
-                        .busy_cycles += flits;
                 }
             }
             SwitchingModel::Wormhole => {
@@ -729,20 +858,20 @@ impl Mesh {
                 // tail clears it, which cannot precede the downstream
                 // claim. The tail clears the last link `flits` after its
                 // claim.
-                let mut release = *starts.last().expect("non-empty path") + flits;
-                for (i, &link) in path.iter().enumerate().rev() {
-                    if i < path.len() - 1 {
+                let starts = &self.claims;
+                let last = starts.len() - 1;
+                let mut release = starts[last] + flits;
+                for (i, &link) in self.path.iter().enumerate().rev() {
+                    if i < last {
                         // Held from our claim until the tail drains into
                         // the next link (which it can enter only once that
                         // link was claimed).
                         release = (starts[i + 1] + flits).max(starts[i] + flits);
                     }
-                    self.link_free.insert((link, class), release);
+                    let state = &mut self.links[slot(link, class)];
+                    state.free = release;
+                    state.stats.busy_cycles += release - starts[i];
                     self.stats.link_busy_cycles += release - starts[i];
-                    self.link_stats
-                        .entry((link, class))
-                        .or_default()
-                        .busy_cycles += release - starts[i];
                 }
             }
         }
@@ -761,16 +890,20 @@ impl Mesh {
     /// never carried a message are omitted.
     pub fn link_report(&self) -> Vec<LinkReport> {
         let mut rows: Vec<LinkReport> = self
-            .link_stats
+            .links
             .iter()
-            .map(|(&((from, to), class), &stats)| LinkReport {
-                from,
-                to,
-                class,
-                alive: !self.failed_links.contains(&(from, to))
-                    && !self.failed_routers.contains(&from)
-                    && !self.failed_routers.contains(&to),
-                stats,
+            .enumerate()
+            .filter(|(_, state)| state.stats.messages > 0)
+            .map(|(i, state)| {
+                let (link, class) = (i / CLASSES.len(), CLASSES[i % CLASSES.len()]);
+                let (from, to) = self.geo.ends(link);
+                LinkReport {
+                    from,
+                    to,
+                    class,
+                    alive: self.live(link) && !self.dead[link / DIRS],
+                    stats: state.stats,
+                }
             })
             .collect();
         rows.sort_by_key(|r| (r.from, r.to, r.class));
@@ -778,9 +911,385 @@ impl Mesh {
     }
 }
 
+/// The map-based mesh this file held before its state moved into flat
+/// arrays, kept compiled under `cfg(test)` as the differential-testing
+/// oracle: the flat mesh must return the same arrivals, statistics, hop
+/// segments, link report and components for every sequence of sends,
+/// faults and repairs.
+#[cfg(test)]
+pub(crate) mod legacy {
+    use std::collections::{BTreeSet, VecDeque};
+
+    use ftcoma_mem::NodeId;
+    use ftcoma_sim::{Cycles, FxHashMap};
+
+    use super::{
+        HopSegment, LinkReport, LinkStats, MeshGeometry, NetClass, NetConfig, NetStats, RouteError,
+        SwitchingModel,
+    };
+
+    type Link = ((usize, usize), (usize, usize));
+
+    /// The XY-routing path from `a` to `b` as a list of directed unit links
+    /// `((x, y), (x', y'))`: first all X movement, then all Y movement.
+    fn xy_path(geo: &MeshGeometry, a: NodeId, b: NodeId) -> Vec<Link> {
+        let (mut x, mut y) = geo.coords(a);
+        let (bx, by) = geo.coords(b);
+        let mut links = Vec::with_capacity(geo.hops(a, b) as usize);
+        while x != bx {
+            let nx = if bx > x { x + 1 } else { x - 1 };
+            links.push(((x, y), (nx, y)));
+            x = nx;
+        }
+        while y != by {
+            let ny = if by > y { y + 1 } else { y - 1 };
+            links.push(((x, y), (x, ny)));
+            y = ny;
+        }
+        links
+    }
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct LegacyMesh {
+        geo: MeshGeometry,
+        cfg: NetConfig,
+        /// Next-free time of each directed link, per sub-network.
+        link_free: FxHashMap<(Link, NetClass), Cycles>,
+        stats: NetStats,
+        /// Per-link breakdown of the aggregate statistics.
+        link_stats: FxHashMap<(Link, NetClass), LinkStats>,
+        /// Severed links (both directions of a cut are inserted). `BTreeSet`
+        /// keeps iteration — and therefore any derived output — deterministic.
+        failed_links: BTreeSet<Link>,
+        /// Failed routers by coordinate; no message may traverse or terminate
+        /// at a failed router.
+        failed_routers: BTreeSet<(usize, usize)>,
+        /// When set, `send` records the per-hop occupancy segments of
+        /// the last routed message for the span exporter. Pure observation:
+        /// arrival times and statistics are identical either way.
+        hop_trace: bool,
+        /// The last traced message's hops (see `last_hops`).
+        last_hops: Vec<HopSegment>,
+    }
+
+    impl LegacyMesh {
+        /// Creates an idle, fully healthy mesh.
+        pub(crate) fn new(geo: MeshGeometry, cfg: NetConfig) -> Self {
+            Self {
+                geo,
+                cfg,
+                link_free: FxHashMap::default(),
+                stats: NetStats::default(),
+                link_stats: FxHashMap::default(),
+                failed_links: BTreeSet::new(),
+                failed_routers: BTreeSet::new(),
+                hop_trace: false,
+                last_hops: Vec::new(),
+            }
+        }
+
+        /// Enables or disables per-hop recording for subsequent sends. Off by
+        /// default; enabling it changes no timing and no statistics.
+        pub(crate) fn set_hop_trace(&mut self, on: bool) {
+            self.hop_trace = on;
+            if !on {
+                self.last_hops.clear();
+            }
+        }
+
+        /// The hop segments of the most recent `send` while hop
+        /// tracing is on (empty for node-local sends or when tracing is off).
+        pub(crate) fn last_hops(&self) -> &[HopSegment] {
+            &self.last_hops
+        }
+
+        /// Accumulated statistics.
+        pub(crate) fn stats(&self) -> &NetStats {
+            &self.stats
+        }
+
+        /// Severs the bidirectional link between the routers of `a` and `b`;
+        /// later traffic detours around it.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the two nodes are not mesh-adjacent.
+        pub(crate) fn fail_link(&mut self, a: NodeId, b: NodeId) {
+            let (ca, cb) = self.link_between(a, b, "fail_link");
+            self.failed_links.insert((ca, cb));
+            self.failed_links.insert((cb, ca));
+        }
+
+        /// Restores a severed link between the routers of `a` and `b` (both
+        /// directions); later traffic takes it again. Repairing a link that
+        /// was never cut is a no-op, so repair schedules may race failures.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the two nodes are not mesh-adjacent.
+        pub(crate) fn repair_link(&mut self, a: NodeId, b: NodeId) {
+            let (ca, cb) = self.link_between(a, b, "repair_link");
+            self.failed_links.remove(&(ca, cb));
+            self.failed_links.remove(&(cb, ca));
+        }
+
+        /// The link from `a`'s router to `b`'s; `op` names the caller in the
+        /// panic when the two are not neighbours.
+        fn link_between(&self, a: NodeId, b: NodeId, op: &str) -> Link {
+            let (ca, cb) = (self.geo.coords(a), self.geo.coords(b));
+            assert!(
+                self.geo.neighbours(a).any(|n| n == b),
+                "{op} needs mesh-adjacent nodes, got {a} at {ca:?} and {b} at {cb:?}"
+            );
+            (ca, cb)
+        }
+
+        /// Marks `node`'s router failed: no message may traverse or terminate
+        /// at it until `repair_router`.
+        pub(crate) fn fail_router(&mut self, node: NodeId) {
+            self.failed_routers.insert(self.geo.coords(node));
+        }
+
+        /// Restores `node`'s router (a repaired node rejoins the mesh).
+        pub(crate) fn repair_router(&mut self, node: NodeId) {
+            self.failed_routers.remove(&self.geo.coords(node));
+        }
+
+        /// Has neither a link nor a router failed?
+        pub(crate) fn healthy(&self) -> bool {
+            self.failed_links.is_empty() && self.failed_routers.is_empty()
+        }
+
+        /// Is there a healthy route from `from` to `to`?
+        pub(crate) fn reachable(&self, from: NodeId, to: NodeId) -> bool {
+            from == to || self.route(from, to).is_ok()
+        }
+
+        /// The connected pieces of the mesh as it stands: for each node, the
+        /// lowest-id node it can reach, so two nodes share an entry exactly
+        /// when `reachable` joins them. Routes may pass the routers of
+        /// dead nodes that still switch and empty grid positions; a node whose
+        /// router failed is a piece of its own. One labelling pass over the
+        /// grid answers every pair at once.
+        pub(crate) fn components(&self) -> Vec<NodeId> {
+            let cols = self.geo.cols();
+            let at = |p: usize| (p % cols, p / cols);
+            let index = |(x, y): (usize, usize)| y * cols + x;
+            // Nodes hold the lowest grid positions, so the position a fill
+            // starts from is the lowest node of its piece (if it has any).
+            let mut label = vec![usize::MAX; cols * self.geo.rows()];
+            for start in 0..label.len() {
+                if label[start] != usize::MAX || self.failed_routers.contains(&at(start)) {
+                    continue;
+                }
+                label[start] = start;
+                let mut stack = vec![start];
+                while let Some(p) = stack.pop() {
+                    for q in self.grid_neighbours(at(p)) {
+                        if label[index(q)] == usize::MAX && self.hop_ok(at(p), q) {
+                            label[index(q)] = start;
+                            stack.push(index(q));
+                        }
+                    }
+                }
+            }
+            (0..self.geo.nodes())
+                .map(|i| NodeId::new(if label[i] == usize::MAX { i } else { label[i] } as u16))
+                .collect()
+        }
+
+        /// May a message hop from router `a` to the adjacent router `b`?
+        fn hop_ok(&self, a: (usize, usize), b: (usize, usize)) -> bool {
+            !self.failed_routers.contains(&b) && !self.failed_links.contains(&(a, b))
+        }
+
+        /// The grid positions (empty ones included) one hop from `(x, y)`, in
+        /// the fixed `+x, -x, +y, -y` order that keeps detours deterministic.
+        fn grid_neighbours(&self, (x, y): (usize, usize)) -> impl Iterator<Item = (usize, usize)> {
+            [
+                (x + 1 < self.geo.cols()).then_some((x + 1, y)),
+                (x > 0).then(|| (x - 1, y)),
+                (y + 1 < self.geo.rows()).then_some((x, y + 1)),
+                (y > 0).then(|| (x, y - 1)),
+            ]
+            .into_iter()
+            .flatten()
+        }
+
+        /// The healthy route from `from` to `to`: the XY path when it is
+        /// intact, otherwise the shortest detour over healthy links and
+        /// routers (breadth-first misroute with a fixed `+x, -x, +y, -y`
+        /// neighbour order, so the chosen detour is deterministic). Returns
+        /// the links and the extra hops relative to the Manhattan distance.
+        fn route(&self, from: NodeId, to: NodeId) -> Result<(Vec<Link>, u64), RouteError> {
+            let xy = xy_path(&self.geo, from, to);
+            if self.healthy() {
+                return Ok((xy, 0));
+            }
+            let src = self.geo.coords(from);
+            let dst = self.geo.coords(to);
+            if self.failed_routers.contains(&src) || self.failed_routers.contains(&dst) {
+                return Err(RouteError::Unreachable { from, to });
+            }
+            if xy.iter().all(|&(a, b)| self.hop_ok(a, b)) {
+                return Ok((xy, 0));
+            }
+            let (cols, rows) = (self.geo.cols(), self.geo.rows());
+            let idx = |(x, y): (usize, usize)| y * cols + x;
+            let mut parent: Vec<Option<(usize, usize)>> = vec![None; cols * rows];
+            let mut seen = vec![false; cols * rows];
+            let mut queue = VecDeque::new();
+            seen[idx(src)] = true;
+            queue.push_back(src);
+            'bfs: while let Some(at) = queue.pop_front() {
+                for nb in self.grid_neighbours(at) {
+                    if !seen[idx(nb)] && self.hop_ok(at, nb) {
+                        seen[idx(nb)] = true;
+                        parent[idx(nb)] = Some(at);
+                        if nb == dst {
+                            break 'bfs;
+                        }
+                        queue.push_back(nb);
+                    }
+                }
+            }
+            if !seen[idx(dst)] {
+                return Err(RouteError::Unreachable { from, to });
+            }
+            let mut links = Vec::new();
+            let mut cur = dst;
+            while cur != src {
+                let prev = parent[idx(cur)].expect("reached routers have parents");
+                links.push((prev, cur));
+                cur = prev;
+            }
+            links.reverse();
+            let detour = links.len() as u64 - self.geo.hops(from, to);
+            Ok((links, detour))
+        }
+
+        /// Sends a message at time `now`; returns its arrival time at `to`, or
+        /// a `RouteError` when mesh faults leave no healthy path (in which
+        /// case nothing is sent and no statistics change).
+        ///
+        /// The message reserves every link of its path for its serialization
+        /// time on the given sub-network; waiting for busy links is accounted in
+        /// `NetStats::contention_cycles`. The path is the XY route while it is
+        /// healthy, or the shortest deterministic detour otherwise (extra hops
+        /// accounted in `NetStats::detour_hops`). Node-local messages bypass
+        /// the network entirely and arrive after `local_delay`.
+        pub(crate) fn send(
+            &mut self,
+            now: Cycles,
+            from: NodeId,
+            to: NodeId,
+            class: NetClass,
+            payload_bytes: u64,
+        ) -> Result<Cycles, RouteError> {
+            if self.hop_trace {
+                self.last_hops.clear();
+            }
+            if from == to {
+                self.stats.messages += 1;
+                self.stats.payload_bytes += payload_bytes;
+                return Ok(now + self.cfg.local_delay);
+            }
+            let (path, detour) = self.route(from, to)?;
+            self.stats.messages += 1;
+            self.stats.payload_bytes += payload_bytes;
+            self.stats.detour_hops += detour;
+            let flits = self.cfg.flits(payload_bytes);
+            // Forward pass: when does the header claim each link?
+            let mut starts = Vec::with_capacity(path.len());
+            let mut head = now + self.cfg.ni_overhead;
+            for &link in &path {
+                let free = self.link_free.get(&(link, class)).copied().unwrap_or(0);
+                let start = head.max(free);
+                self.stats.contention_cycles += start - head;
+                let per = self.link_stats.entry((link, class)).or_default();
+                per.messages += 1;
+                per.contention_cycles += start - head;
+                starts.push(start);
+                head = start + self.cfg.router_delay;
+            }
+            let arrival = head + flits;
+            if self.hop_trace {
+                for (i, (&(a, b), &start)) in path.iter().zip(&starts).enumerate() {
+                    let end = starts.get(i + 1).copied().unwrap_or(arrival);
+                    self.last_hops.push(HopSegment {
+                        from: a,
+                        to: b,
+                        start,
+                        end,
+                    });
+                }
+            }
+            match self.cfg.switching {
+                SwitchingModel::VirtualCutThrough => {
+                    // Each link is held for the serialization time only.
+                    for (&link, &start) in path.iter().zip(&starts) {
+                        self.link_free.insert((link, class), start + flits);
+                        self.stats.link_busy_cycles += flits;
+                        self.link_stats
+                            .entry((link, class))
+                            .or_default()
+                            .busy_cycles += flits;
+                    }
+                }
+                SwitchingModel::Wormhole => {
+                    // Backward pass: a stalled header keeps the worm stretched
+                    // over its upstream links; link i is released only when the
+                    // tail clears it, which cannot precede the downstream
+                    // claim. The tail clears the last link `flits` after its
+                    // claim.
+                    let mut release = *starts.last().expect("non-empty path") + flits;
+                    for (i, &link) in path.iter().enumerate().rev() {
+                        if i < path.len() - 1 {
+                            // Held from our claim until the tail drains into
+                            // the next link (which it can enter only once that
+                            // link was claimed).
+                            release = (starts[i + 1] + flits).max(starts[i] + flits);
+                        }
+                        self.link_free.insert((link, class), release);
+                        self.stats.link_busy_cycles += release - starts[i];
+                        self.link_stats
+                            .entry((link, class))
+                            .or_default()
+                            .busy_cycles += release - starts[i];
+                    }
+                }
+            }
+            Ok(arrival)
+        }
+
+        /// Per-link breakdown of the traffic seen so far, sorted by
+        /// `(from, to, class)` so the report order is deterministic. Links that
+        /// never carried a message are omitted.
+        pub(crate) fn link_report(&self) -> Vec<LinkReport> {
+            let mut rows: Vec<LinkReport> = self
+                .link_stats
+                .iter()
+                .map(|(&((from, to), class), &stats)| LinkReport {
+                    from,
+                    to,
+                    class,
+                    alive: !self.failed_links.contains(&(from, to))
+                        && !self.failed_routers.contains(&from)
+                        && !self.failed_routers.contains(&to),
+                    stats,
+                })
+                .collect();
+            rows.sort_by_key(|r| (r.from, r.to, r.class));
+            rows
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::legacy::LegacyMesh;
     use super::*;
+    use ftcoma_sim::DetRng;
 
     fn n(i: u16) -> NodeId {
         NodeId::new(i)
@@ -814,9 +1323,19 @@ mod tests {
     #[test]
     fn path_length_matches_hops() {
         let g = MeshGeometry::for_nodes(16);
+        let mut links = Vec::new();
         for a in 0..16u16 {
             for b in 0..16u16 {
-                assert_eq!(g.path(n(a), n(b)).len() as u64, g.hops(n(a), n(b)));
+                links.clear();
+                g.xy_links(n(a), n(b), &mut links);
+                assert_eq!(links.len() as u64, g.hops(n(a), n(b)));
+                // The links chain from a's position to b's.
+                let mut at = usize::from(a);
+                for &link in &links {
+                    assert_eq!(link / DIRS, at, "{a} -> {b}");
+                    at = g.head(link);
+                }
+                assert_eq!(at, usize::from(b));
             }
         }
     }
@@ -1211,5 +1730,103 @@ mod tests {
         vct.send(0, n(0), n(3), NetClass::Reply, 2048).unwrap();
         assert_eq!(vct.stats().detour_hops, mesh.stats().detour_hops);
         assert!(mesh.stats().link_busy_cycles > vct.stats().link_busy_cycles);
+    }
+
+    /// Drives the flat mesh and the map-based one it replaced through the
+    /// same seeded sequences of sends, link cuts and repairs, and router
+    /// failures and repairs, on full grids and one with empty positions,
+    /// under both switching models with hop tracing on. Every answer must
+    /// match after every step; a copy of the flat mesh taken mid-sequence
+    /// (cache and all) carries on in its place.
+    #[test]
+    fn flat_mesh_matches_the_map_based_mesh() {
+        let mut rng = DetRng::seeded(0xF1A7_3E5B);
+        let mut pick = |bound: usize| rng.below(bound as u64) as usize;
+        // Sends on a damaged mesh, and how many of them were refused.
+        let (mut damaged, mut refused, mut total) = (0, 0, 0);
+        for nodes in [4u16, 9, 13, 16] {
+            let geo = MeshGeometry::for_nodes(usize::from(nodes));
+            let links = geo.links();
+            for cfg in [NetConfig::default(), NetConfig::wormhole()] {
+                for run in 0..12 {
+                    let mut flat = Mesh::new(geo, cfg);
+                    let mut old = LegacyMesh::new(geo, cfg);
+                    flat.set_hop_trace(true);
+                    old.set_hop_trace(true);
+                    let (mut cut, mut dead) = (Vec::new(), Vec::new());
+                    let mut now = 0;
+                    for step in 0..1_500 {
+                        let at = || format!("{nodes} nodes, {cfg:?}, run {run}, step {step}");
+                        match pick(100) {
+                            0..=87 => {
+                                // Times mostly advance and sometimes repeat.
+                                now += [0, 0, 1, 7, 40, 300][pick(6)];
+                                let from = n(pick(usize::from(nodes)) as u16);
+                                let to = match pick(10) {
+                                    0 => from,
+                                    _ => n(pick(usize::from(nodes)) as u16),
+                                };
+                                let class = CLASSES[pick(2)];
+                                let bytes = [0, 128, 2048][pick(3)];
+                                let got = flat.send(now, from, to, class, bytes);
+                                assert_eq!(got, old.send(now, from, to, class, bytes), "{}", at());
+                                total += 1;
+                                damaged += u64::from(!flat.healthy());
+                                refused += u64::from(got.is_err());
+                            }
+                            88..=90 if !links.is_empty() => {
+                                let (a, b) = links[pick(links.len())];
+                                flat.fail_link(a, b);
+                                old.fail_link(a, b);
+                                cut.push((a, b));
+                            }
+                            91..=95 if !links.is_empty() => {
+                                // Mostly a cut link; sometimes an intact one.
+                                let (a, b) = match pick(4) {
+                                    0 => links[pick(links.len())],
+                                    _ if !cut.is_empty() => cut.swap_remove(pick(cut.len())),
+                                    _ => links[pick(links.len())],
+                                };
+                                flat.repair_link(a, b);
+                                old.repair_link(a, b);
+                            }
+                            96 => {
+                                let r = n(pick(usize::from(nodes)) as u16);
+                                flat.fail_router(r);
+                                old.fail_router(r);
+                                dead.push(r);
+                            }
+                            _ => {
+                                let r = match dead.is_empty() {
+                                    false => dead.swap_remove(pick(dead.len())),
+                                    true => n(pick(usize::from(nodes)) as u16),
+                                };
+                                flat.repair_router(r);
+                                old.repair_router(r);
+                            }
+                        }
+                        assert_eq!(flat.stats(), old.stats(), "{}", at());
+                        assert_eq!(flat.last_hops(), old.last_hops(), "{}", at());
+                        assert_eq!(flat.healthy(), old.healthy(), "{}", at());
+                        if step == 750 {
+                            flat = flat.clone();
+                        }
+                    }
+                    assert_eq!(flat.link_report(), old.link_report(), "run {run}");
+                    assert_eq!(flat.components(), old.components(), "run {run}");
+                    for a in (0..nodes).map(n) {
+                        for b in (0..nodes).map(n) {
+                            assert_eq!(flat.reachable(a, b), old.reachable(a, b), "{a} -> {b}");
+                        }
+                    }
+                }
+            }
+        }
+        // Both regimes, and refusals, make up a real share of the sends.
+        assert!(
+            total / 5 < damaged && damaged < total * 9 / 10,
+            "{damaged} of {total}"
+        );
+        assert!(refused > total / 20, "{refused} of {total}");
     }
 }
