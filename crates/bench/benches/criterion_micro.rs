@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator's hot paths: cache and AM probes,
-//! mesh message accounting, workload generation, and a small end-to-end
-//! machine run per protocol mode.
+//! mesh message accounting, workload generation, the JSON row writer,
+//! and a small end-to-end machine run per protocol mode.
 //!
 //! Formerly a criterion harness; the workspace is dependency-free, so this
 //! is now a plain `harness = false` bench with a minimal timing loop
@@ -14,6 +14,7 @@ use ftcoma_machine::{Machine, MachineConfig};
 use ftcoma_mem::addr::LineId;
 use ftcoma_mem::{AttractionMemory, Cache, ItemId, ItemState, NodeId};
 use ftcoma_net::{Mesh, MeshGeometry, NetClass, NetConfig};
+use ftcoma_sim::json::write_object;
 use ftcoma_sim::{DetRng, EventQueue};
 use ftcoma_workloads::{presets, NodeStream, RefStream};
 
@@ -183,6 +184,33 @@ fn bench_workload() {
     });
 }
 
+/// One call writes 100 000 rows shaped like the Chrome trace's complete
+/// slices through `write_object`, so the per-row cost of the export
+/// writer shows apart from the exporter's bookkeeping.
+fn bench_json() {
+    let us = |c: u64| c as f64 * 1e6 / 20_000_000.0;
+    let mut out = String::new();
+    bench("json_chrome_rows", 15, 1, || {
+        out.clear();
+        for i in 0..100_000u64 {
+            let at = 400_000 + i * 37;
+            write_object(&mut out, |r| {
+                r.str("name", "commit scan")
+                    .str("ph", "X")
+                    .num("ts", us(at))
+                    .num("dur", us(i % 500))
+                    .uint("pid", 0)
+                    .uint("tid", i % 17)
+                    .object("args", |a| {
+                        a.uint("span", i + 1).uint("parent", i / 8);
+                    });
+            });
+            out.push(',');
+        }
+        black_box(&out);
+    });
+}
+
 fn bench_machine() {
     for (name, ft) in [
         ("standard", FtConfig::disabled()),
@@ -208,5 +236,6 @@ fn main() {
     bench_queue();
     bench_mesh();
     bench_workload();
+    bench_json();
     bench_machine();
 }

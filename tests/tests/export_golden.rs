@@ -6,7 +6,9 @@
 //! children come before them or were evicted, grandchildren, and track
 //! sets of two and three nodes. The files under `tests/golden/` pin the
 //! exact text each exporter writes for them, so a rewrite of an exporter
-//! must reproduce it byte for byte.
+//! or of the JSON writer must reproduce it byte for byte. Two of them pin
+//! timestamps that the number writer leaves to `core::fmt`: the two-node
+//! inputs at a 33 MHz clock, and records past 2^40 µs.
 
 use ftcoma_machine::export;
 use ftcoma_machine::tracelog::TraceEvent;
@@ -17,6 +19,10 @@ use ftcoma_sim::span::{SpanPhase, SpanRecord};
 /// The KSR1's 20 MHz clock: one cycle is 0.05 µs, so most timestamps
 /// are fractional.
 const HZ: f64 = 20_000_000.0;
+
+/// A 33 MHz clock: one cycle is 1/33 µs, so every fractional timestamp
+/// has more than two decimals.
+const HZ_33: f64 = 33_000_000.0;
 
 fn n(i: u16) -> NodeId {
     NodeId::new(i)
@@ -179,6 +185,27 @@ fn three_node_spans() -> Vec<SpanRecord> {
     ]
 }
 
+/// A commit scan and a root span past cycle 2.2 × 10^13: at 20 MHz their
+/// timestamps lie above 2^40 µs, even those with two decimals.
+fn far_events() -> Vec<TraceEvent> {
+    vec![TraceEvent::NodeCommit {
+        at: 22_000_000_000_001,
+        node: n(1),
+        dur: 3,
+    }]
+}
+
+fn far_spans() -> Vec<SpanRecord> {
+    vec![span(
+        1,
+        0,
+        SpanPhase::Transaction,
+        0,
+        22_000_000_000_007,
+        22_000_000_000_013,
+    )]
+}
+
 fn samples() -> Vec<TsSample> {
     vec![
         TsSample {
@@ -214,7 +241,9 @@ fn samples() -> Vec<TsSample> {
 fn golden(name: &str) -> &'static str {
     match name {
         "chrome-two-node.json" => include_str!("../golden/chrome-two-node.json"),
+        "chrome-two-node-33mhz.json" => include_str!("../golden/chrome-two-node-33mhz.json"),
         "chrome-three-node.json" => include_str!("../golden/chrome-three-node.json"),
+        "chrome-far.json" => include_str!("../golden/chrome-far.json"),
         "chrome-empty.json" => include_str!("../golden/chrome-empty.json"),
         "trace-two-node.jsonl" => include_str!("../golden/trace-two-node.jsonl"),
         "trace-three-node.jsonl" => include_str!("../golden/trace-three-node.jsonl"),
@@ -233,9 +262,18 @@ fn exports() -> Vec<(&'static str, String)> {
                 .to_string_compact(),
         ),
         (
+            "chrome-two-node-33mhz.json",
+            export::chrome_trace_with_spans(&two_node_events(), &two_node_spans(), HZ_33)
+                .to_string_compact(),
+        ),
+        (
             "chrome-three-node.json",
             export::chrome_trace_with_spans(&three_node_events(), &three_node_spans(), HZ)
                 .to_string_compact(),
+        ),
+        (
+            "chrome-far.json",
+            export::chrome_trace_with_spans(&far_events(), &far_spans(), HZ).to_string_compact(),
         ),
         (
             "chrome-empty.json",
