@@ -80,8 +80,8 @@ fn main() {
             "{:<10} {:>5} rp/s  transferred={:>11}  effective={:>11}  reused={:>4.0}%",
             t.cell.cfg.workload.name,
             t.cell.cfg.ft.ckpt_rate_hz,
-            mbps(t.ft.replication_throughput_bps(20e6)),
-            mbps(t.ft.effective_replication_throughput_bps(20e6)),
+            mbps(t.ft.replication_throughput_bps()),
+            mbps(t.ft.effective_replication_throughput_bps()),
             t.ft.replica_reuse_fraction() * 100.0,
         );
     }

@@ -67,7 +67,7 @@ fn main() {
         "§4.2.5, Fig. 9 — paper: near-linear growth (211 MB/s @9 -> 1.1 GB/s @56)",
     );
     print_per_size(&results, |t| {
-        mbps(t.ft.aggregate_replication_throughput_bps(20e6))
+        mbps(t.ft.aggregate_replication_throughput_bps())
     });
 
     banner(

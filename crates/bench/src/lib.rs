@@ -24,11 +24,9 @@ use std::path::{Path, PathBuf};
 
 use ftcoma_campaign::{run_cells, CampaignSpec, Cell, CellOutcome};
 use ftcoma_core::FtConfig;
-use ftcoma_machine::{export, Machine, MachineConfig, RunMetrics};
+use ftcoma_machine::{Machine, MachineConfig, RunMetrics};
 use ftcoma_sim::Json;
 use ftcoma_workloads::SplashConfig;
-
-pub use ftcoma_campaign::lengths_for;
 
 /// The machine sizes of the scalability figures (Figs. 8–11).
 pub const PAPER_SIZES: [u16; 5] = [9, 16, 30, 42, 56];
@@ -98,32 +96,6 @@ pub fn run_one(
     Machine::new(cfg).run()
 }
 
-/// Assembles a versioned bench document from labeled rows.
-pub fn bench_doc(id: &str, rows: Vec<Json>) -> Json {
-    Json::obj([
-        ("schema_version", Json::from(export::SCHEMA_VERSION)),
-        ("bench", Json::from(id)),
-        ("rows", Json::arr(rows)),
-    ])
-}
-
-fn write_doc_to(dir: &Path, id: &str, doc: &Json) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{id}.json"));
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text)?;
-    Ok(path)
-}
-
-/// Writes `BENCH_<id>.json` into `dir` and returns its path.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write.
-pub fn write_bench_json_to(dir: &Path, id: &str, rows: Vec<Json>) -> std::io::Result<PathBuf> {
-    write_doc_to(dir, id, &bench_doc(id, rows))
-}
-
 /// Env-gated bench export of a whole document: when `FTCOMA_BENCH_JSON`
 /// names a directory, writes `doc` there as `BENCH_<id>.json` and returns
 /// the path; otherwise a no-op.
@@ -132,19 +104,14 @@ pub fn write_bench_json_to(dir: &Path, id: &str, rows: Vec<Json>) -> std::io::Re
 ///
 /// Propagates I/O errors from the write.
 pub fn write_bench_doc(id: &str, doc: &Json) -> std::io::Result<Option<PathBuf>> {
-    match std::env::var_os("FTCOMA_BENCH_JSON") {
-        None => Ok(None),
-        Some(dir) => write_doc_to(Path::new(&dir), id, doc).map(Some),
-    }
-}
-
-/// [`write_bench_doc`] of the [`bench_doc`] built from `rows`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write.
-pub fn write_bench_json(id: &str, rows: Vec<Json>) -> std::io::Result<Option<PathBuf>> {
-    write_bench_doc(id, &bench_doc(id, rows))
+    let Some(dir) = std::env::var_os("FTCOMA_BENCH_JSON") else {
+        return Ok(None);
+    };
+    let path = Path::new(&dir).join(format!("BENCH_{id}.json"));
+    let mut text = doc.to_string_pretty();
+    text.push('\n');
+    std::fs::write(&path, text)?;
+    Ok(Some(path))
 }
 
 /// Prints a benchmark banner.
@@ -168,16 +135,6 @@ pub fn mbps(x: f64) -> String {
 mod tests {
     use super::*;
     use ftcoma_campaign::report;
-
-    #[test]
-    fn lengths_scale_with_period() {
-        let (r400, w400) = lengths_for(400.0);
-        let (r5, w5) = lengths_for(5.0);
-        assert_eq!(r400, 60_000);
-        assert_eq!(w400, 30_000);
-        assert!(r5 >= 3_000_000);
-        assert!(w5 >= 1_500_000);
-    }
 
     #[test]
     fn paper_grid_is_the_shipped_spec() {
@@ -223,30 +180,5 @@ mod tests {
         assert_eq!(t100.len(), 1);
         assert_eq!(t100[0].cell.cfg.ft.ckpt_rate_hz, 100.0);
         assert_eq!(t100[0].decomposition, twins[1].decomposition);
-    }
-
-    #[test]
-    fn bench_json_round_trips() {
-        let row = || Json::obj([("label", Json::from("water@400"))]);
-        let doc = bench_doc("unit_test", vec![row()]);
-        let parsed = Json::parse(&doc.to_string_pretty()).unwrap();
-        assert_eq!(
-            parsed.get("schema_version").and_then(|v| v.as_u64()),
-            Some(export::SCHEMA_VERSION)
-        );
-        assert_eq!(
-            parsed.get("bench").and_then(|v| v.as_str()),
-            Some("unit_test")
-        );
-        let back = &parsed.get("rows").unwrap().as_array().unwrap()[0];
-        assert_eq!(
-            back.get("label").and_then(|v| v.as_str()),
-            Some("water@400")
-        );
-        let dir = std::env::temp_dir();
-        let path = write_bench_json_to(&dir, "unit_test", vec![row()]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, format!("{}\n", doc.to_string_pretty()));
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -28,8 +28,7 @@ use std::time::Instant;
 
 use ftcoma_core::RecoveryOutcome;
 use ftcoma_machine::{
-    tracelog::TraceEvent, FailureKind, FaultDist, FaultProcessConfig, Machine, MachineConfig,
-    Snapshot,
+    tracelog::TraceEvent, FailureKind, FaultProcessConfig, Machine, MachineConfig, Snapshot,
 };
 use ftcoma_mem::NodeId;
 use ftcoma_net::LinkReport;
@@ -149,7 +148,6 @@ pub fn apply_scenario(machine: &mut Machine, scenario: &Scenario) {
                 node_mttr,
                 link_mtbf,
                 link_mttr,
-                dist: FaultDist::Exponential,
                 start: scenario.at,
             });
         }

@@ -7,7 +7,7 @@
 //! which is what makes single-cell replay (`ftcoma campaign --cell`) and
 //! parallel execution reproducible.
 
-use ftcoma_core::FtConfig;
+use ftcoma_core::{FtConfig, ECP_MIN_LIVE_NODES};
 use ftcoma_machine::MachineConfig;
 use ftcoma_mem::NodeId;
 use ftcoma_sim::{derive_seed, Clock, Json};
@@ -300,7 +300,7 @@ impl Scenario {
                 }
                 Ok(())
             }
-            _ if loses_a_node && n < 5 => Err(err(format!(
+            _ if loses_a_node && n <= ECP_MIN_LIVE_NODES => Err(err(format!(
                 "scenario `{}` loses a node for good, which needs at least 5 nodes: \
                  establishing a recovery point takes four live nodes and only {} would remain",
                 self.label(),
@@ -913,7 +913,7 @@ impl CampaignSpec {
             if n < 2 {
                 return Err(err("every machine needs at least two nodes"));
             }
-            if n < 4 && !self.freqs.is_empty() {
+            if n < ECP_MIN_LIVE_NODES && !self.freqs.is_empty() {
                 return Err(err(format!(
                     "{n} nodes is too small for the ECP (four copies per modified item)"
                 )));
@@ -1123,6 +1123,16 @@ mod tests {
         // Baseline-only campaigns are allowed.
         let spec = CampaignSpec::parse(r#"{"freqs": [], "baseline": true}"#).unwrap();
         assert_eq!(spec.expand().len(), 1);
+    }
+
+    #[test]
+    fn lengths_scale_with_period() {
+        let (r400, w400) = lengths_for(400.0);
+        let (r5, w5) = lengths_for(5.0);
+        assert_eq!(r400, 60_000);
+        assert_eq!(w400, 30_000);
+        assert!(r5 >= 3_000_000);
+        assert!(w5 >= 1_500_000);
     }
 
     #[test]

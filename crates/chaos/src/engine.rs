@@ -15,7 +15,7 @@ use ftcoma_campaign::{
     fork_cycle, needs_net, run_cell, run_cell_on, run_cells, Cell, CellOutcome, Scenario,
     ScenarioKind, SnapshotForge,
 };
-use ftcoma_core::FtConfig;
+use ftcoma_core::{FtConfig, ECP_MIN_LIVE_NODES};
 use ftcoma_machine::{export, MachineConfig};
 use ftcoma_mem::addr::ITEMS_PER_PAGE;
 use ftcoma_mem::NodeId;
@@ -75,10 +75,8 @@ pub struct ChaosConfig {
 impl ChaosConfig {
     /// Defaults for a fuzzing run: water on 8 nodes at 1000 recovery
     /// points/s (≈ one establishment every 20k cycles, so every run spans
-    /// several), 4 seed groups × 200 cases. `FTCOMA_BENCH_QUICK` halves
-    /// the run length for CI smoke jobs.
+    /// several), 4 seed groups × 200 cases of 8 000 references per node.
     pub fn new(campaign_seed: u64) -> ChaosConfig {
-        let quick = std::env::var_os("FTCOMA_BENCH_QUICK").is_some();
         ChaosConfig {
             campaign_seed,
             seeds: 4,
@@ -87,7 +85,7 @@ impl ChaosConfig {
             workload: presets::water(),
             nodes: 8,
             freq_hz: 1_000.0,
-            refs_per_node: if quick { 4_000 } else { 8_000 },
+            refs_per_node: 8_000,
             shrink_budget: 24,
             net_faults: false,
             soak: false,
@@ -138,7 +136,7 @@ impl ChaosConfig {
         if self.seeds == 0 || self.cases == 0 {
             return Err("chaos needs at least one seed and one case".into());
         }
-        if self.nodes < 5 {
+        if self.nodes <= ECP_MIN_LIVE_NODES {
             return Err(
                 "chaos needs at least 5 nodes: its cases lose nodes for good, and establishing \
                  a recovery point takes four live nodes"

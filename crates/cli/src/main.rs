@@ -136,7 +136,6 @@ CHAOS (see docs/CHAOS.md)
   Reports are byte-identical across --jobs; wall-clock time goes to the
   <out>.timing.json sidecar. Counterexample artifacts carry the failing
   case's recovery span timeline.
-  FTCOMA_BENCH_QUICK=1 halves the per-case run length for CI smoke.
 
 OBSERVABILITY (run and failure; see docs/OBSERVABILITY.md)
   --json                   print the run metrics as versioned JSON on stdout
@@ -296,7 +295,7 @@ fn print_metrics(m: &RunMetrics) {
         println!("T_commit         {:>14}", m.t_commit);
         println!(
             "replication      {:>11.1} MB/s per node",
-            m.replication_throughput_bps(20e6) / 1e6
+            m.replication_throughput_bps() / 1e6
         );
         println!(
             "injections/10k   {:>14.1}",

@@ -2,6 +2,16 @@
 
 use ftcoma_sim::Clock;
 
+use crate::capacity::COPIES_REQUIRED;
+
+/// The fewest live nodes on which the ECP can establish a recovery point.
+/// "Four copies are necessary during the create phase" (§4.1): a modified
+/// item's two old `Inv-CK` copies, its `Pre-Commit1` original and its
+/// `Pre-Commit2` replica need four distinct copy holders, because an AM
+/// holds at most one copy of an item. A machine that may lose a node for
+/// good therefore needs one node more.
+pub const ECP_MIN_LIVE_NODES: u16 = COPIES_REQUIRED as u16;
+
 /// Whether the Extended Coherence Protocol is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtMode {

@@ -40,7 +40,7 @@ pub mod engine;
 pub mod invariants;
 pub mod recovery;
 
-pub use config::{CommitStrategy, FtConfig, FtMode};
+pub use config::{CommitStrategy, FtConfig, FtMode, ECP_MIN_LIVE_NODES};
 pub use ctx::{Ctx, Effect};
 pub use engine::{AccessOutcome, AccessReq, Engine, HitSource};
 pub use recovery::RecoveryOutcome;

@@ -329,8 +329,8 @@ pub fn audit_copies(
 /// stop-the-world recovery, like the scans — keeps exactly one copy per
 /// replica index (highest generation, then lowest node id, for
 /// determinism), drops the leftovers, and re-points the partners at each
-/// other. Returns how many duplicate copies were dropped.
-pub fn dedup_recovery_copies(nodes: &mut [NodeState]) -> u64 {
+/// other.
+pub fn dedup_recovery_copies(nodes: &mut [NodeState]) {
     use std::collections::HashMap;
 
     // item -> (replica index -> candidate copies as (gen, node)).
@@ -348,7 +348,6 @@ pub fn dedup_recovery_copies(nodes: &mut [NodeState]) -> u64 {
         }
     }
 
-    let mut dropped = 0;
     for (item, mut by_replica) in seen {
         let keep: Vec<Option<usize>> = by_replica
             .iter_mut()
@@ -357,12 +356,10 @@ pub fn dedup_recovery_copies(nodes: &mut [NodeState]) -> u64 {
                 cands.first().map(|&(_, node)| node)
             })
             .collect();
-        for (r, cands) in by_replica.iter().enumerate() {
+        for cands in &by_replica {
             for &(_, node) in cands.iter().skip(1) {
                 nodes[node].cache.invalidate_item(item);
                 nodes[node].am.clear_slot(item);
-                dropped += 1;
-                let _ = r;
             }
         }
         // Re-point the surviving pair at each other.
@@ -381,7 +378,6 @@ pub fn dedup_recovery_copies(nodes: &mut [NodeState]) -> u64 {
                 .partner = Some(a_id);
         }
     }
-    dropped
 }
 
 /// Rebuilds every localization pointer from the *current owners* (any
@@ -434,7 +430,7 @@ pub fn rebuild_homes(nodes: &mut [NodeState], ring: &LogicalRing) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcoma_mem::ItemId;
+    use ftcoma_mem::{ItemId, ItemSlot, LineState};
 
     fn install(ns: &mut NodeState, idx: u64, st: ItemState, partner: Option<NodeId>) {
         let item = ItemId::new(idx);
@@ -530,6 +526,52 @@ mod tests {
         nodes[1].alive = true;
         let clean = audit_copies(&nodes, [(ItemId::new(0), 10), (ItemId::new(3), 13)]);
         assert_eq!(clean, CopyAudit::default());
+    }
+
+    #[test]
+    fn dedup_keeps_the_newest_then_lowest_node_copy_and_repairs_the_pair() {
+        let mut nodes: Vec<NodeState> = (0..4).map(|i| NodeState::ksr1(NodeId::new(i))).collect();
+        let mut ck = |node: usize, item: u64, st: ItemState, partner: u16, gen: u64| {
+            install(&mut nodes[node], item, st, Some(NodeId::new(partner)));
+            nodes[node].am.slot_mut(ItemId::new(item)).unwrap().ckpt_gen = gen;
+        };
+        // Item 0: two Shared-CK1 copies of equal generation; the lower node
+        // id (n1) stays. Its Shared-CK2 copy on n3 points at the other one,
+        // and the survivor's own pointer is stale.
+        ck(1, 0, ItemState::SharedCk1, 0, 5);
+        ck(2, 0, ItemState::SharedCk1, 3, 5);
+        ck(3, 0, ItemState::SharedCk2, 2, 5);
+        // Item 1: the newer copy (n2, generation 4) beats the lower node id
+        // (n0, generation 3).
+        ck(0, 1, ItemState::SharedCk1, 3, 3);
+        ck(2, 1, ItemState::SharedCk1, 1, 4);
+        ck(3, 1, ItemState::SharedCk2, 0, 4);
+        let (item0, item1) = (ItemId::new(0), ItemId::new(1));
+        for (node, item) in [(1, item0), (2, item0), (0, item1)] {
+            for line in item.lines() {
+                nodes[node].cache.fill(line, false);
+            }
+        }
+
+        dedup_recovery_copies(&mut nodes);
+
+        for (item, kept, dropped) in [(item0, 1, 2), (item1, 2, 0)] {
+            let (kept_id, ck2_id) = (NodeId::new(kept), NodeId::new(3));
+            let kept = usize::from(kept);
+            let slot = nodes[kept].am.slot(item).unwrap();
+            assert_eq!(slot.state, ItemState::SharedCk1, "{item}: n{kept} kept");
+            assert_eq!(slot.partner, Some(ck2_id), "{item}: kept copy -> n3");
+            let ck2 = nodes[3].am.slot(item).unwrap();
+            assert_eq!(ck2.partner, Some(kept_id), "{item}: n3 -> kept copy");
+            assert_eq!(nodes[dropped].am.slot(item), Some(&ItemSlot::default()));
+            for line in item.lines() {
+                assert_eq!(nodes[dropped].cache.line_state(line), LineState::Invalid);
+            }
+        }
+        // The kept copy's cached lines stay.
+        assert!(item0
+            .lines()
+            .all(|l| nodes[1].cache.line_state(l) == LineState::Clean));
     }
 
     #[test]

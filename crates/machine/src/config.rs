@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use ftcoma_core::FtConfig;
+use ftcoma_core::{FtConfig, ECP_MIN_LIVE_NODES};
 use ftcoma_mem::{AmGeometry, CacheGeometry};
 use ftcoma_net::NetConfig;
 use ftcoma_protocol::MemTiming;
@@ -109,11 +109,7 @@ impl MachineConfig {
         if self.nodes < 2 {
             return Err("the machine needs at least two nodes".into());
         }
-        // "Four copies are necessary during the create phase" — a modified
-        // item needs its two old Inv-CK copies, the Pre-Commit1 original
-        // and a Pre-Commit2 replica on four *distinct* nodes (an AM holds
-        // at most one copy of an item).
-        if self.ft.mode.is_enabled() && self.nodes < 4 {
+        if self.ft.mode.is_enabled() && self.nodes < ECP_MIN_LIVE_NODES {
             return Err(
                 "the ECP needs at least four nodes (four copies per modified \
                  item during establishment)"

@@ -44,21 +44,9 @@
 use ftcoma_mem::NodeId;
 use ftcoma_sim::{Cycles, DetRng};
 
-/// Which distribution inter-event times are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultDist {
-    /// Memoryless exponential inter-arrival times with the configured
-    /// mean — the classic MTBF/MTTR failure-repair process (default).
-    #[default]
-    Exponential,
-    /// Every interval is exactly the configured mean. Useful for tests
-    /// and worst-case phasing studies (all clocks aligned).
-    Fixed,
-}
-
 /// Configuration of the continuous failure processes. A mean of `0`
 /// disables that process; at least one process must be enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultProcessConfig {
     /// Mean cycles between failures of each node (`0` = no node process).
     pub node_mtbf: Cycles,
@@ -70,24 +58,9 @@ pub struct FaultProcessConfig {
     pub link_mtbf: Cycles,
     /// Mean cycles a cut link stays down before it is restored.
     pub link_mttr: Cycles,
-    /// Inter-event time distribution.
-    pub dist: FaultDist,
     /// Absolute cycle the processes start at (first draws are offsets
     /// from here). `0` = from the beginning of the run.
     pub start: Cycles,
-}
-
-impl Default for FaultProcessConfig {
-    fn default() -> Self {
-        Self {
-            node_mtbf: 0,
-            node_mttr: 0,
-            link_mtbf: 0,
-            link_mttr: 0,
-            dist: FaultDist::Exponential,
-            start: 0,
-        }
-    }
 }
 
 impl FaultProcessConfig {
@@ -184,14 +157,14 @@ impl FaultProcess {
             node_rng
                 .iter_mut()
                 .map(|rng| NodeClock::Up {
-                    fail_at: cfg.start + sample(rng, cfg.dist, cfg.node_mtbf),
+                    fail_at: cfg.start + sample(rng, cfg.node_mtbf),
                 })
                 .collect()
         } else {
             Vec::new()
         };
         let link_fail_at =
-            (cfg.link_mtbf > 0).then(|| cfg.start + sample(&mut link_rng, cfg.dist, cfg.link_mtbf));
+            (cfg.link_mtbf > 0).then(|| cfg.start + sample(&mut link_rng, cfg.link_mtbf));
         let link_down = vec![false; links.len()];
         Self {
             cfg,
@@ -236,15 +209,13 @@ impl FaultProcess {
             match self.node_clock[i] {
                 NodeClock::Up { fail_at } if fail_at <= now => {
                     self.node_clock[i] = NodeClock::Down {
-                        repair_at: now
-                            + sample(&mut self.node_rng[i], self.cfg.dist, self.cfg.node_mttr),
+                        repair_at: now + sample(&mut self.node_rng[i], self.cfg.node_mttr),
                     };
                     actions.push(FaultAction::FailNode(NodeId::new(i as u16)));
                 }
                 NodeClock::Down { repair_at } if repair_at <= now => {
                     self.node_clock[i] = NodeClock::Up {
-                        fail_at: now
-                            + sample(&mut self.node_rng[i], self.cfg.dist, self.cfg.node_mtbf),
+                        fail_at: now + sample(&mut self.node_rng[i], self.cfg.node_mtbf),
                     };
                     actions.push(FaultAction::RepairNode(NodeId::new(i as u16)));
                 }
@@ -277,18 +248,15 @@ impl FaultProcess {
                 if !up.is_empty() {
                     let idx = up[pick % up.len()];
                     self.link_down[idx] = true;
-                    self.link_repairs.push((
-                        now + sample(&mut self.link_rng, self.cfg.dist, self.cfg.link_mttr),
-                        idx,
-                    ));
+                    self.link_repairs
+                        .push((now + sample(&mut self.link_rng, self.cfg.link_mttr), idx));
                     let (a, b) = self.links[idx];
                     actions.push(FaultAction::CutLink(a, b));
                 } else {
                     // Burn the MTTR draw a real cut would have consumed.
-                    let _ = sample(&mut self.link_rng, self.cfg.dist, self.cfg.link_mttr);
+                    let _ = sample(&mut self.link_rng, self.cfg.link_mttr);
                 }
-                self.link_fail_at =
-                    Some(now + sample(&mut self.link_rng, self.cfg.dist, self.cfg.link_mtbf));
+                self.link_fail_at = Some(now + sample(&mut self.link_rng, self.cfg.link_mtbf));
             }
         }
         actions
@@ -305,28 +273,15 @@ impl FaultProcess {
     pub fn defer_node_fail(&mut self, node: NodeId, now: Cycles) {
         let i = node.index();
         self.node_clock[i] = NodeClock::Up {
-            fail_at: now + sample(&mut self.node_rng[i], self.cfg.dist, self.cfg.node_mtbf),
+            fail_at: now + sample(&mut self.node_rng[i], self.cfg.node_mtbf),
         };
-    }
-
-    /// The configuration this process was built from.
-    pub fn config(&self) -> &FaultProcessConfig {
-        &self.cfg
     }
 }
 
-/// One inter-event draw: exponential or fixed, never zero (a zero delay
-/// would re-fire in the same cycle forever).
-fn sample(rng: &mut DetRng, dist: FaultDist, mean: Cycles) -> Cycles {
-    match dist {
-        FaultDist::Exponential => rng.exp_with(mean).max(1),
-        FaultDist::Fixed => {
-            // Fixed mode still consumes one draw so switching distributions
-            // never shifts sibling streams.
-            let _ = rng.next_u64();
-            mean.max(1)
-        }
-    }
+/// One exponential inter-event draw with mean `mean`, never zero (a zero
+/// delay would re-fire in the same cycle forever).
+fn sample(rng: &mut DetRng, mean: Cycles) -> Cycles {
+    rng.exp_with(mean).max(1)
 }
 
 #[cfg(test)]
@@ -462,25 +417,5 @@ mod tests {
         );
         assert_eq!(offset.next_at().unwrap(), base.next_at().unwrap() + 50_000);
         assert!(offset.next_at().unwrap() >= 50_000);
-    }
-
-    #[test]
-    fn fixed_distribution_fires_at_exact_multiples() {
-        let mut fp = FaultProcess::new(
-            FaultProcessConfig {
-                node_mtbf: 1_000,
-                node_mttr: 200,
-                dist: FaultDist::Fixed,
-                ..FaultProcessConfig::default()
-            },
-            1,
-            1,
-            Vec::new(),
-        );
-        assert_eq!(fp.next_at(), Some(1_000));
-        assert_eq!(fp.fire(1_000), vec![FaultAction::FailNode(n(0))]);
-        assert_eq!(fp.next_at(), Some(1_200));
-        assert_eq!(fp.fire(1_200), vec![FaultAction::RepairNode(n(0))]);
-        assert_eq!(fp.next_at(), Some(2_200));
     }
 }

@@ -51,6 +51,6 @@ pub mod tracelog;
 mod transport;
 
 pub use config::{FailureKind, MachineConfig};
-pub use faultproc::{FaultDist, FaultProcess, FaultProcessConfig};
+pub use faultproc::{FaultProcess, FaultProcessConfig};
 pub use machine::{Machine, Snapshot};
 pub use metrics::{Decomposition, NodeMetrics, PhaseLatency, RunMetrics, TsSample};

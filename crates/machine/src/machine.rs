@@ -3,7 +3,7 @@
 
 use ftcoma_core::{
     ckpt, invariants, recovery, AccessOutcome, AccessReq, Ctx, Effect, Engine, HitSource,
-    RecoveryOutcome,
+    RecoveryOutcome, ECP_MIN_LIVE_NODES,
 };
 use ftcoma_mem::{ItemId, ItemState, NodeId};
 use ftcoma_net::{Fabric, LogicalRing, MeshGeometry, NetClass};
@@ -63,12 +63,6 @@ enum Event {
 /// Seed stream for the continuous fault process installed by
 /// [`Machine::install_fault_process`].
 const FAULT_PROC_STREAM: u64 = 0x8F17_0C55_C0D1_2ED9;
-
-/// The continuous fault process never sinks the machine below this many
-/// live nodes: the ECP's establishment needs four distinct copy holders
-/// per modified item, so a sampled failure that would breach the floor is
-/// deferred by a fresh MTBF draw instead.
-const FAULT_PROC_MIN_ALIVE: usize = 4;
 
 /// The simulated ft-coma machine. See the crate docs for an example.
 ///
@@ -908,7 +902,7 @@ impl Machine {
                     // establishment floor, or a kill that would partition
                     // the live mesh.
                     if !self.nodes[node.index()].alive
-                        || self.ring.alive_count() <= FAULT_PROC_MIN_ALIVE
+                        || self.ring.alive_count() <= usize::from(ECP_MIN_LIVE_NODES)
                         || !self.mesh_stays_connected(node, false)
                     {
                         fp.defer_node_fail(node, now);

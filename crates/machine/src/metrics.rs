@@ -2,7 +2,7 @@
 
 use ftcoma_net::NetStats;
 use ftcoma_sim::stats::Histogram;
-use ftcoma_sim::Cycles;
+use ftcoma_sim::{Clock, Cycles};
 
 /// Per-node breakdown of one machine run.
 ///
@@ -493,12 +493,13 @@ impl RunMetrics {
     }
 
     /// Mean per-node replication throughput during create phases, in bytes
-    /// per simulated second, counting only physically transferred bytes.
-    pub fn replication_throughput_bps(&self, clock_hz: f64) -> f64 {
+    /// per simulated second of the 20 MHz KSR1 clock, counting only
+    /// physically transferred bytes.
+    pub fn replication_throughput_bps(&self) -> f64 {
         if self.t_create == 0 || self.nodes == 0 {
             0.0
         } else {
-            let secs = self.t_create as f64 / clock_hz;
+            let secs = Clock::ksr1().cycles_to_secs(self.t_create);
             self.replication_bytes as f64 / secs / self.nodes as f64
         }
     }
@@ -507,19 +508,19 @@ impl RunMetrics {
     /// checkpointed item (including re-labelled replicas that moved no
     /// data) — the paper's "effective" throughput that rises to ~30 MB/s
     /// for Barnes.
-    pub fn effective_replication_throughput_bps(&self, clock_hz: f64) -> f64 {
+    pub fn effective_replication_throughput_bps(&self) -> f64 {
         if self.t_create == 0 || self.nodes == 0 {
             0.0
         } else {
-            let secs = self.t_create as f64 / clock_hz;
+            let secs = Clock::ksr1().cycles_to_secs(self.t_create);
             let bytes = self.items_checkpointed as f64 * 128.0;
             bytes / secs / self.nodes as f64
         }
     }
 
     /// Aggregate (machine-wide) replication throughput in bytes/second.
-    pub fn aggregate_replication_throughput_bps(&self, clock_hz: f64) -> f64 {
-        self.replication_throughput_bps(clock_hz) * self.nodes as f64
+    pub fn aggregate_replication_throughput_bps(&self) -> f64 {
+        self.replication_throughput_bps() * self.nodes as f64
     }
 
     /// Fraction of checkpointed items that reused an existing replica.
@@ -579,7 +580,7 @@ mod tests {
         let m = RunMetrics::default();
         assert_eq!(m.read_miss_rate(), 0.0);
         assert_eq!(m.per_10k_refs(5), 0.0);
-        assert_eq!(m.replication_throughput_bps(20e6), 0.0);
+        assert_eq!(m.replication_throughput_bps(), 0.0);
     }
 
     #[test]
@@ -607,9 +608,9 @@ mod tests {
             nodes: 2,
             ..Default::default()
         };
-        assert!((m.replication_throughput_bps(20e6) - 20_000_000.0).abs() < 1.0);
-        assert!((m.aggregate_replication_throughput_bps(20e6) - 40_000_000.0).abs() < 1.0);
-        assert!((m.effective_replication_throughput_bps(20e6) - 40_000_000.0).abs() < 1.0);
+        assert!((m.replication_throughput_bps() - 20_000_000.0).abs() < 1.0);
+        assert!((m.aggregate_replication_throughput_bps() - 40_000_000.0).abs() < 1.0);
+        assert!((m.effective_replication_throughput_bps() - 40_000_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
     println!("recovery points     : {:>12}", ft_run.checkpoints);
     println!(
         "replication         : {:>11.1} MB/s per node during establishment",
-        ft_run.replication_throughput_bps(20e6) / 1e6
+        ft_run.replication_throughput_bps() / 1e6
     );
     println!(
         "injections          : {:>11.1} per 10k references",

@@ -57,7 +57,7 @@ fn main() {
                 / 1024.0
                 / ft.checkpoints.max(1) as f64
                 / f64::from(nodes),
-            ft.aggregate_replication_throughput_bps(20e6) / 1e6,
+            ft.aggregate_replication_throughput_bps() / 1e6,
         );
     }
 }

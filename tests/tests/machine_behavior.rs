@@ -133,7 +133,7 @@ fn replication_throughput_is_in_paper_ballpark() {
         ..MachineConfig::default()
     })
     .run();
-    let mbps = ft_run.replication_throughput_bps(20e6) / 1e6;
+    let mbps = ft_run.replication_throughput_bps() / 1e6;
     assert!(
         (5.0..60.0).contains(&mbps),
         "throughput {mbps} MB/s far from paper's ~20"

@@ -46,7 +46,7 @@ fn fig3_shape_create_falls_with_frequency() {
 #[test]
 fn fig4_shape_replication_throughput_in_band() {
     let m = run(16, Some(400.0), 40_000);
-    let mbps = m.replication_throughput_bps(20e6) / 1e6;
+    let mbps = m.replication_throughput_bps() / 1e6;
     assert!(
         (8.0..40.0).contains(&mbps),
         "throughput {mbps:.1} MB/s outside paper band"
@@ -90,8 +90,7 @@ fn fig9_shape_aggregate_throughput_grows_with_nodes() {
     let small = run(9, Some(100.0), 20_000);
     let large = run(30, Some(100.0), 20_000);
     assert!(
-        large.aggregate_replication_throughput_bps(20e6)
-            > small.aggregate_replication_throughput_bps(20e6),
+        large.aggregate_replication_throughput_bps() > small.aggregate_replication_throughput_bps(),
         "aggregate replication bandwidth must grow with the machine"
     );
 }
