@@ -11,10 +11,10 @@
 //! expand `specs/paper-grid.json`, the spec `ftcoma campaign --spec
 //! specs/paper-grid.json` runs, so a bench and the campaign report see the
 //! same cells with the same derived seeds; Figs. 8–11 build one spec per
-//! machine size. Standard/ECP twins and Fig. 3's decomposition come from
-//! [`ftcoma_campaign::report::twin`], the one place the workspace pairs
-//! them. Results are identical at any parallelism, so `cargo bench` uses
-//! every core.
+//! machine size. Their standard/ECP twins and Fig. 3's decomposition come
+//! from [`ftcoma_campaign::report::twin`]; the ablations, whose switches a
+//! spec cannot set, pair [`run_one`] runs themselves. Results are
+//! identical at any parallelism, so `cargo bench` uses every core.
 //!
 //! Absolute numbers will not match the paper (different workload substrate
 //! — see DESIGN.md §4); the *shapes* are the reproduction target and

@@ -9,9 +9,10 @@
 //! timings live in a separate sidecar document ([`timing_json`]) that is
 //! exempt from the comparison.
 //!
-//! [`twin`] is the one place a standard-protocol run is paired with its
-//! ECP twin: the report, the CLI's `campaign` and `sweep` summaries and
-//! the figure benches all read Fig. 3's decomposition through it.
+//! [`twin`] is the one place a campaign's standard-protocol cell is paired
+//! with its ECP twin: the report, the CLI's `campaign` and `sweep`
+//! summaries and the figure benches all read Fig. 3's decomposition
+//! through it.
 
 use ftcoma_machine::{export, Decomposition, PhaseLatency, RunMetrics};
 use ftcoma_sim::Json;

@@ -71,7 +71,7 @@ ftcoma — fault-tolerant COMA simulator (Morin et al., ISCA 1996)
 
 USAGE
   ftcoma run      --workload W [--nodes N] [--refs R] [--warmup U]
-                  [--freq RP_PER_S | --no-ft] [--seed S] [--verify]
+                  [--freq RP_PER_S | --no-ft] [--seed S] [--verify] [--wormhole]
                   [--fail-at CYCLES [--fail-kind transient|permanent]
                   [--fail-node K]]
                   [--json] [--metrics-out FILE] [--trace-out FILE]
@@ -79,6 +79,7 @@ USAGE
                   [--spans-out FILE] [--timeseries-out FILE]
                   [--timeseries-every CYCLES]
   ftcoma compare  --workload W [--nodes N] [--refs R] [--warmup U] [--freq F]
+                  [--seed S] [--wormhole]
   ftcoma sweep    --workload W [--nodes N] [--freqs F1,F2,...] [--jobs J]
   ftcoma failure  --workload W --kind transient|permanent|continuous
                   [--node K] [--at CYCLES] [--repair-at CYCLES]
@@ -435,8 +436,14 @@ fn cmd_run(p: &Parsed) -> Result<(), ArgError> {
     fail_on_violation(&run.outcome)
 }
 
+/// `compare` prints one table of a standard run and its ECP twin, so it
+/// takes no fault, export or `--no-ft` flag.
+const COMPARE_FLAGS: &[&str] = &[
+    "workload", "nodes", "refs", "warmup", "freq", "seed", "wormhole",
+];
+
 fn cmd_compare(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(RUN_FLAGS)?;
+    p.assert_only(COMPARE_FLAGS)?;
     let ft_cfg = machine_config(p)?;
     let std_cfg = MachineConfig {
         ft: FtConfig::disabled(),

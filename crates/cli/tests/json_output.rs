@@ -547,6 +547,34 @@ fn invalid_numeric_inputs_exit_with_an_error_not_a_panic() {
 fn json_rejects_unknown_subcommand_flags() {
     let out = ftcoma(&["latency", "--json"]);
     assert!(!out.status.success(), "latency does not take --json");
+
+    // `compare` prints one table of a standard run and its ECP twin: it
+    // must refuse `run`'s output, fault and protocol flags, not ignore them.
+    let trace = std::env::temp_dir()
+        .join(format!("ftcoma_test_compare_trace_{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let compare = [
+        "compare", "--nodes", "4", "--refs", "2000", "--warmup", "0", "--freq", "400",
+    ];
+    let extras: [&[&str]; 4] = [
+        &["--json"],
+        &["--trace-out", &trace],
+        &["--fail-at", "100"],
+        &["--no-ft"],
+    ];
+    for extra in extras {
+        let out = ftcoma(&[&compare[..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        let refusal = format!("unknown flag {} for `compare`", extra[0]);
+        assert!(stderr.contains(&refusal), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?} ran the comparison");
+    }
+    assert!(
+        !std::path::Path::new(&trace).exists(),
+        "compare wrote a trace"
+    );
 }
 
 #[test]

@@ -1,240 +1,7 @@
-//! Integration-test support: a miniature, fully controllable protocol rig.
+//! Integration-test support for the cross-crate tests.
 //!
-//! [`Rig`] drives the coherence engine over real `NodeState`s, the mesh and
-//! the logical ring with a private event loop, letting tests place copies
-//! by hand, issue single processor accesses, and observe every state
-//! transition of a transaction — the protocol-conformance counterpart to
-//! the statistical full-machine tests.
+//! The protocol-conformance tests place copies by hand and drive single
+//! transactions through [`Rig`], the same driver with which
+//! `ftcoma_machine::probe` measures the paper's Tables 1 and 2.
 
-use ftcoma_core::{AccessOutcome, AccessReq, Ctx, Effect, Engine, FtConfig};
-use ftcoma_mem::{AmGeometry, CacheGeometry, ItemId, ItemState, NodeId};
-use ftcoma_net::{LogicalRing, Mesh, MeshGeometry, NetConfig};
-use ftcoma_protocol::msg::Msg;
-use ftcoma_protocol::{home_of, MemTiming, NodeState};
-use ftcoma_sim::{Cycles, EventQueue};
-
-/// A small machine with manual control over every copy.
-pub struct Rig {
-    /// Node states, indexable for assertions.
-    pub nodes: Vec<NodeState>,
-    /// The coherence engine under test.
-    pub engine: Engine,
-    /// Liveness view.
-    pub ring: LogicalRing,
-    mesh: Mesh,
-    queue: EventQueue<(NodeId, Msg)>,
-    /// Effects collected while draining, in order.
-    pub effects: Vec<(NodeId, Effect)>,
-}
-
-impl Rig {
-    /// A rig with `n` full-size nodes and the standard protocol.
-    pub fn new(n: usize) -> Self {
-        Self::with_config(n, FtConfig::disabled())
-    }
-
-    /// A rig with `n` full-size nodes and the given protocol config.
-    pub fn with_config(n: usize, ft: FtConfig) -> Self {
-        let nodes = (0..n as u16)
-            .map(|i| NodeState::ksr1(NodeId::new(i)))
-            .collect();
-        Self {
-            nodes,
-            engine: Engine::new(ft, MemTiming::ksr1(), n),
-            ring: LogicalRing::new(n),
-            mesh: Mesh::new(MeshGeometry::for_nodes(n), NetConfig::default()),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-        }
-    }
-
-    /// A rig with tiny AMs (2 frames, 1-way) to force replacements.
-    pub fn tiny_am(n: usize) -> Self {
-        let geo = AmGeometry {
-            capacity_bytes: 2 * 16 * 1024,
-            ways: 1,
-        };
-        let nodes = (0..n as u16)
-            .map(|i| NodeState::new(NodeId::new(i), geo, CacheGeometry::ksr1()))
-            .collect();
-        Self {
-            nodes,
-            engine: Engine::new(FtConfig::disabled(), MemTiming::ksr1(), n),
-            ring: LogicalRing::new(n),
-            mesh: Mesh::new(MeshGeometry::for_nodes(n), NetConfig::default()),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-        }
-    }
-
-    /// Installs a copy and (for owner states) the directory entry and the
-    /// localization pointer at the item's home.
-    pub fn place(&mut self, node: u16, item: ItemId, state: ItemState, value: u64) {
-        let n = node as usize;
-        if !self.nodes[n].am.has_page(item.page()) {
-            self.nodes[n]
-                .am
-                .allocate_page(item.page())
-                .expect("rig AM has room");
-        }
-        self.nodes[n].am.install(item, state, value, None);
-        if state.is_owner() {
-            self.nodes[n].dir.create(item, Vec::new());
-            let home = home_of(item, &self.ring);
-            self.nodes[home.index()]
-                .home
-                .set_owner(item, NodeId::new(node));
-        }
-    }
-
-    /// Registers `sharer` in the owner's directory entry.
-    pub fn add_sharer(&mut self, owner: u16, item: ItemId, sharer: u16) {
-        self.nodes[owner as usize]
-            .dir
-            .add_sharer(item, NodeId::new(sharer));
-    }
-
-    /// Links two recovery copies as partners with the given generation.
-    pub fn link_partners(&mut self, item: ItemId, a: u16, b: u16, gen: u64) {
-        let sa = self.nodes[a as usize]
-            .am
-            .slot_mut(item)
-            .expect("copy placed");
-        sa.partner = Some(NodeId::new(b));
-        sa.ckpt_gen = gen;
-        let sb = self.nodes[b as usize]
-            .am
-            .slot_mut(item)
-            .expect("copy placed");
-        sb.partner = Some(NodeId::new(a));
-        sb.ckpt_gen = gen;
-    }
-
-    /// Issues one processor access on `node` and drives the machine until
-    /// quiescent. Returns the completion time (cycles from issue).
-    pub fn access(&mut self, node: u16, addr: u64, is_write: bool, value: u64) -> Cycles {
-        let req = AccessReq {
-            addr: addr.into(),
-            is_write,
-            write_value: value,
-        };
-        let now = self.queue.now();
-        let mut ctx = Ctx::new(&self.ring, now);
-        let outcome = self
-            .engine
-            .access(&mut self.nodes[node as usize], req, &mut ctx);
-        let (out, effects) = ctx.finish();
-        for e in effects {
-            self.effects.push((NodeId::new(node), e));
-        }
-        for o in out {
-            let arrival = self
-                .mesh
-                .send(
-                    now + o.delay,
-                    NodeId::new(node),
-                    o.to,
-                    o.msg.class(),
-                    o.msg.payload_bytes(),
-                )
-                .expect("rig mesh is healthy");
-            self.queue.schedule(arrival, (o.to, o.msg));
-        }
-        match outcome {
-            AccessOutcome::Complete { latency, .. } => now + latency,
-            AccessOutcome::Stalled => {
-                let done = self.drain();
-                done.unwrap_or_else(|| panic!("access on n{node} never completed"))
-            }
-        }
-    }
-
-    /// Processes queued messages to quiescence; returns the time of the
-    /// last `Resume` effect, if any.
-    pub fn drain(&mut self) -> Option<Cycles> {
-        let mut resumed = None;
-        while let Some((now, (to, msg))) = self.queue.pop() {
-            if !self.nodes[to.index()].alive {
-                continue;
-            }
-            let mut ctx = Ctx::new(&self.ring, now);
-            self.engine
-                .handle(&mut self.nodes[to.index()], msg, &mut ctx);
-            let (out, effects) = ctx.finish();
-            for e in effects {
-                if let Effect::Resume { latency } = e {
-                    resumed = Some(now + latency);
-                }
-                self.effects.push((to, e));
-            }
-            for o in out {
-                let arrival = self
-                    .mesh
-                    .send(
-                        now + o.delay,
-                        to,
-                        o.to,
-                        o.msg.class(),
-                        o.msg.payload_bytes(),
-                    )
-                    .expect("rig mesh is healthy");
-                self.queue.schedule(arrival, (o.to, o.msg));
-            }
-        }
-        resumed
-    }
-
-    /// Runs the create phase on every node for generation `gen`, then
-    /// drains; panics unless every node reports `CreateDone`.
-    pub fn create_all(&mut self, gen: u64) {
-        let n = self.nodes.len();
-        for i in 0..n {
-            let now = self.queue.now();
-            let mut ctx = Ctx::new(&self.ring, now);
-            self.engine.begin_create(&mut self.nodes[i], gen, &mut ctx);
-            let (out, effects) = ctx.finish();
-            for e in effects {
-                self.effects.push((NodeId::new(i as u16), e));
-            }
-            for o in out {
-                let arrival = self
-                    .mesh
-                    .send(
-                        now + o.delay,
-                        NodeId::new(i as u16),
-                        o.to,
-                        o.msg.class(),
-                        o.msg.payload_bytes(),
-                    )
-                    .expect("rig mesh is healthy");
-                self.queue.schedule(arrival, (o.to, o.msg));
-            }
-        }
-        self.drain();
-        let done = self
-            .effects
-            .iter()
-            .filter(|(_, e)| matches!(e, Effect::CreateDone))
-            .count();
-        assert_eq!(done, n, "every node must finish its create phase");
-    }
-
-    /// State of `item` at `node`.
-    pub fn state(&self, node: u16, item: ItemId) -> ItemState {
-        self.nodes[node as usize].am.state(item)
-    }
-
-    /// All nodes holding a copy of `item`, with their states.
-    pub fn copies(&self, item: ItemId) -> Vec<(u16, ItemState)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.am.state(item).is_present())
-            .map(|n| (n.id.index() as u16, n.am.state(item)))
-            .collect()
-    }
-
-    /// Count of collected effects matching `pred`.
-    pub fn count_effects(&self, pred: impl Fn(&Effect) -> bool) -> usize {
-        self.effects.iter().filter(|(_, e)| pred(e)).count()
-    }
-}
+pub use ftcoma_machine::probe::Rig;
