@@ -11,7 +11,7 @@ use ftcoma_bench::{banner, pct, run_one};
 use ftcoma_core::{CommitStrategy, FtConfig};
 use ftcoma_machine::{Decomposition, Machine, MachineConfig};
 use ftcoma_net::mesh::SwitchingModel;
-use ftcoma_net::NetConfig;
+use ftcoma_net::{BusConfig, FabricConfig, NetConfig};
 use ftcoma_workloads::presets;
 
 fn main() {
@@ -81,10 +81,10 @@ fn main() {
             warmup_refs_per_node: warmup,
             workload: presets::mp3d(),
             ft: FtConfig::enabled(400.0),
-            net: NetConfig {
+            fabric: FabricConfig::Mesh(NetConfig {
                 switching,
                 ..NetConfig::default()
-            },
+            }),
             ..MachineConfig::default()
         };
         let m = Machine::new(cfg).run();
@@ -102,17 +102,17 @@ fn main() {
         "nodes", "mesh cycles", "bus cycles", "bus/mesh"
     );
     for nodes in [4u16, 9, 16] {
-        let mk = |bus| MachineConfig {
+        let mk = |fabric| MachineConfig {
             nodes,
             refs_per_node: 20_000,
             warmup_refs_per_node: 10_000,
             workload: presets::mp3d(),
             ft: FtConfig::enabled(400.0),
-            bus,
+            fabric,
             ..MachineConfig::default()
         };
-        let mesh = Machine::new(mk(None)).run();
-        let bus = Machine::new(mk(Some(ftcoma_net::BusConfig::default()))).run();
+        let mesh = Machine::new(mk(FabricConfig::default())).run();
+        let bus = Machine::new(mk(FabricConfig::Bus(BusConfig::default()))).run();
         println!(
             "{:>7}  {:>14}  {:>14}  {:>7.2}x",
             nodes,

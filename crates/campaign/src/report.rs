@@ -4,8 +4,8 @@
 //! The document is `schema_version` 7 (see
 //! [`ftcoma_machine::export::SCHEMA_VERSION`]); cells appear in id order
 //! regardless of the order workers finished them, and every field is a
-//! pure function of the spec — the property the CI `determinism` job
-//! checks by byte-diffing `--jobs 1` against `--jobs 4` output. Wall-clock
+//! pure function of the spec — the property CI checks by byte-diffing the
+//! `scripts/reports.sh` output at `--jobs 1` against `--jobs 4`. Wall-clock
 //! timings live in a separate sidecar document ([`timing_json`]) that is
 //! exempt from the comparison.
 //!

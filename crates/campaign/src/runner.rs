@@ -6,7 +6,8 @@
 //! a cell's result depends on which worker ran it or when — seeds are fixed
 //! at expansion time and the simulator is a pure function of its
 //! configuration — so `--jobs 1` and `--jobs N` produce identical outcomes
-//! (enforced by the `determinism` CI job and the integration tests).
+//! (enforced by CI's `scripts/reports.sh` byte-diff and the integration
+//! tests).
 //!
 //! # Snapshot-fork execution
 //!

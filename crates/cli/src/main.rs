@@ -27,6 +27,7 @@ use ftcoma_campaign::{
 use ftcoma_chaos::{ChaosConfig, Counterexample, Verdict};
 use ftcoma_core::{FtConfig, RecoveryOutcome};
 use ftcoma_machine::{export, probe, Decomposition, Machine, MachineConfig, RunMetrics};
+use ftcoma_net::{FabricConfig, NetConfig};
 use ftcoma_sim::span::SpanRecord;
 use ftcoma_sim::{Clock, Json};
 use ftcoma_workloads::{presets, SplashConfig};
@@ -80,8 +81,10 @@ USAGE
                   [--timeseries-every CYCLES]
   ftcoma compare  --workload W [--nodes N] [--refs R] [--warmup U] [--freq F]
                   [--seed S] [--wormhole]
-  ftcoma sweep    --workload W [--nodes N] [--freqs F1,F2,...] [--jobs J]
+  ftcoma sweep    --workload W [--nodes N] [--refs R] [--warmup U]
+                  [--freqs F1,F2,...] [--seed S] [--jobs J]
   ftcoma failure  --workload W --kind transient|permanent|continuous
+                  [--nodes N] [--refs R] [--warmup U] [--freq F] [--seed S]
                   [--node K] [--at CYCLES] [--repair-at CYCLES]
                   [--node-mtbf C --node-mttr C] [--link-mtbf C --link-mttr C]
   ftcoma campaign --spec FILE [--jobs J] [--json] [--out FILE] [--cell ID]
@@ -172,10 +175,10 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
     } else {
         FtConfig::try_enabled(p.f64_or("freq", 100.0)?).map_err(ArgError)?
     };
-    let net = if p.has("wormhole") {
-        ftcoma_net_config_wormhole()
+    let fabric = if p.has("wormhole") {
+        FabricConfig::Mesh(NetConfig::wormhole())
     } else {
-        Default::default()
+        FabricConfig::default()
     };
     let traced = ["trace-out", "trace-jsonl", "spans-out"]
         .into_iter()
@@ -203,7 +206,7 @@ fn machine_config(p: &Parsed) -> Result<MachineConfig, ArgError> {
         warmup_refs_per_node: p.u64_or("warmup", 30_000)?,
         workload: workload(p)?,
         ft,
-        net,
+        fabric,
         seed: p.u64_or("seed", 0xF7C0_3A11)?,
         verify: p.has("verify"),
         trace_capacity: trace_capacity as usize,
@@ -278,10 +281,6 @@ fn export_outputs(p: &Parsed, run: &CellOutcome) -> Result<bool, ArgError> {
         return Ok(true);
     }
     Ok(false)
-}
-
-fn ftcoma_net_config_wormhole() -> ftcoma_net::NetConfig {
-    ftcoma_net::NetConfig::wormhole()
 }
 
 fn print_metrics(m: &RunMetrics) {
@@ -489,10 +488,12 @@ fn jobs_flag(p: &Parsed) -> Result<usize, ArgError> {
     Ok(jobs as usize)
 }
 
+const SWEEP_FLAGS: &[&str] = &[
+    "workload", "nodes", "freqs", "refs", "warmup", "seed", "jobs",
+];
+
 fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&[
-        "workload", "nodes", "freqs", "refs", "warmup", "seed", "jobs",
-    ])?;
+    p.assert_only(SWEEP_FLAGS)?;
     let freqs = p.f64_list_or("freqs", &[400.0, 200.0, 100.0, 50.0])?;
     // One base configuration for the whole sweep; the campaign engine runs
     // the standard-protocol baseline once and every frequency against it.
@@ -539,31 +540,33 @@ fn cmd_sweep(p: &Parsed) -> Result<(), ArgError> {
     Ok(())
 }
 
+const FAILURE_FLAGS: &[&str] = &[
+    "workload",
+    "nodes",
+    "refs",
+    "warmup",
+    "freq",
+    "seed",
+    "kind",
+    "node",
+    "at",
+    "repair-at",
+    "node-mtbf",
+    "node-mttr",
+    "link-mtbf",
+    "link-mttr",
+    "json",
+    "metrics-out",
+    "trace-out",
+    "trace-jsonl",
+    "trace-capacity",
+    "spans-out",
+    "timeseries-out",
+    "timeseries-every",
+];
+
 fn cmd_failure(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&[
-        "workload",
-        "nodes",
-        "refs",
-        "warmup",
-        "freq",
-        "seed",
-        "kind",
-        "node",
-        "at",
-        "repair-at",
-        "node-mtbf",
-        "node-mttr",
-        "link-mtbf",
-        "link-mttr",
-        "json",
-        "metrics-out",
-        "trace-out",
-        "trace-jsonl",
-        "trace-capacity",
-        "spans-out",
-        "timeseries-out",
-        "timeseries-every",
-    ])?;
+    p.assert_only(FAILURE_FLAGS)?;
     let mut cfg = machine_config(p)?;
     cfg.verify = true;
     let kind = match p.str_or("kind", "transient").as_str() {
@@ -765,11 +768,13 @@ const CHAOS_FLAGS: &[&str] = &[
     "refs",
     "out",
     "json",
-    "replay",
     "net-faults",
     "soak",
     "nested",
 ];
+
+/// A replay re-runs the artifact's own case, so it takes no sweep flag.
+const REPLAY_FLAGS: &[&str] = &["replay"];
 
 /// Where the wall-clock sidecar of `--out report.json` lands:
 /// `report.timing.json`.
@@ -790,10 +795,12 @@ fn artifact_path(out: Option<&str>, case_id: u64) -> String {
 }
 
 fn cmd_chaos(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(CHAOS_FLAGS)?;
     if p.has("replay") {
+        p.assert_only(REPLAY_FLAGS)
+            .map_err(|e| ArgError(format!("{e}: --replay takes no other flag")))?;
         return cmd_chaos_replay(p);
     }
+    p.assert_only(CHAOS_FLAGS)?;
     let mut cfg = ChaosConfig::new(p.u64_or("seed", 0xC4A0_5EED)?);
     cfg.seeds = p.u64_or("seeds", cfg.seeds)?;
     cfg.cases = p.u64_or("cases", cfg.cases)?;
@@ -901,11 +908,13 @@ fn cmd_chaos_replay(p: &Parsed) -> Result<(), ArgError> {
     }
 }
 
+const TRACE_FLAGS: &[&str] = &["spans", "top"];
+
 /// `ftcoma trace summarize --spans FILE [--top K]`: reads a spans JSONL
 /// file (the `--spans-out` format) and prints the K slowest root spans —
 /// transactions and recoveries — each decomposed into its child phases.
 fn cmd_trace(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&["spans", "top"])?;
+    p.assert_only(TRACE_FLAGS)?;
     match p.subcommand.as_deref() {
         Some("summarize") => {}
         Some(other) => {
@@ -996,8 +1005,10 @@ fn print_span_summary(spans: &[SpanRecord], top: usize) {
     }
 }
 
+const LATENCY_FLAGS: &[&str] = &[];
+
 fn cmd_latency(p: &Parsed) -> Result<(), ArgError> {
-    p.assert_only(&[])?;
+    p.assert_only(LATENCY_FLAGS)?;
     let t = probe::read_miss_latencies();
     println!("read miss latencies (paper Table 2):");
     println!("  cache            {:>4} cycles", t.cache);
@@ -1005,4 +1016,60 @@ fn cmd_latency(p: &Parsed) -> Result<(), ArgError> {
     println!("  remote AM, 1 hop {:>4} cycles", t.remote_1hop);
     println!("  remote AM, 2 hop {:>4} cycles", t.remote_2hop);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` words of `text`.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect()
+    }
+
+    /// Every flag a command accepts is in its usage lines, or, for the
+    /// export flags of `run` and `failure`, in the OBSERVABILITY block;
+    /// and every flag its usage lines show, it accepts.
+    #[test]
+    fn help_lists_exactly_the_accepted_flags() {
+        let section = |from: &str, to: &str| HELP.split(from).nth(1)?.split(to).next();
+        let usage = section("USAGE\n", "\n\n").unwrap();
+        let observability = flags_in(section("\nOBSERVABILITY", "\nWORKLOADS").unwrap());
+        let commands: [(&str, &[&[&str]]); 8] = [
+            ("run", &[RUN_FLAGS]),
+            ("compare", &[COMPARE_FLAGS]),
+            ("sweep", &[SWEEP_FLAGS]),
+            ("failure", &[FAILURE_FLAGS]),
+            ("campaign", &[CAMPAIGN_FLAGS]),
+            ("chaos", &[CHAOS_FLAGS, REPLAY_FLAGS]),
+            ("trace", &[TRACE_FLAGS]),
+            ("latency", &[LATENCY_FLAGS]),
+        ];
+        for (command, lists) in commands {
+            // A command's usage runs from each `  ftcoma <command>` line to
+            // the next `  ftcoma` line.
+            let lines: String = usage
+                .split("  ftcoma ")
+                .filter(|entry| entry.split_whitespace().next() == Some(command))
+                .collect();
+            assert!(!lines.is_empty(), "no usage line for `{command}`");
+            let shown = flags_in(&lines);
+            let accepted = lists.concat();
+            for flag in &accepted {
+                let exported = matches!(command, "run" | "failure") && observability.contains(flag);
+                assert!(
+                    shown.contains(flag) || exported,
+                    "`ftcoma help` does not show --{flag} for `{command}`"
+                );
+            }
+            for flag in &shown {
+                assert!(
+                    accepted.contains(flag),
+                    "`ftcoma help` shows --{flag} for `{command}`, which refuses it"
+                );
+            }
+        }
+    }
 }

@@ -550,30 +550,37 @@ fn json_rejects_unknown_subcommand_flags() {
 
     // `compare` prints one table of a standard run and its ECP twin: it
     // must refuse `run`'s output, fault and protocol flags, not ignore them.
-    let trace = std::env::temp_dir()
-        .join(format!("ftcoma_test_compare_trace_{}", std::process::id()))
+    // A replay re-runs the artifact's own case: it must refuse every sweep
+    // flag before it reads the (here missing) artifact.
+    let out_file = std::env::temp_dir()
+        .join(format!("ftcoma_test_refused_out_{}", std::process::id()))
         .to_string_lossy()
         .into_owned();
-    let compare = [
+    let compare: &[&str] = &[
         "compare", "--nodes", "4", "--refs", "2000", "--warmup", "0", "--freq", "400",
     ];
-    let extras: [&[&str]; 4] = [
-        &["--json"],
-        &["--trace-out", &trace],
-        &["--fail-at", "100"],
-        &["--no-ft"],
+    let replay: &[&str] = &["chaos", "--replay", "missing.json"];
+    let cases: [(&[&str], &[&str]); 7] = [
+        (compare, &["--json"]),
+        (compare, &["--trace-out", &out_file]),
+        (compare, &["--fail-at", "100"]),
+        (compare, &["--no-ft"]),
+        (replay, &["--json"]),
+        (replay, &["--out", &out_file]),
+        (replay, &["--seeds", "9"]),
     ];
-    for extra in extras {
-        let out = ftcoma(&[&compare[..], extra].concat());
+    for (command, extra) in cases {
+        let out = ftcoma(&[command, extra].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
-        let refusal = format!("unknown flag {} for `compare`", extra[0]);
+        let refusal = format!("unknown flag {} for `{}`", extra[0], command[0]);
         assert!(stderr.contains(&refusal), "{extra:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{extra:?} ran the comparison");
+        assert!(!stderr.contains("missing.json"), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command:?} {extra:?} ran");
     }
     assert!(
-        !std::path::Path::new(&trace).exists(),
-        "compare wrote a trace"
+        !std::path::Path::new(&out_file).exists(),
+        "a refused command wrote its output"
     );
 }
 

@@ -2,7 +2,7 @@
 
 use ftcoma_core::{FtConfig, ECP_MIN_LIVE_NODES};
 use ftcoma_mem::{AmGeometry, CacheGeometry};
-use ftcoma_net::NetConfig;
+use ftcoma_net::FabricConfig;
 use ftcoma_protocol::MemTiming;
 use ftcoma_workloads::{presets, SplashConfig};
 
@@ -35,11 +35,10 @@ pub struct MachineConfig {
     pub ft: FtConfig,
     /// Node-local memory timings.
     pub timing: MemTiming,
-    /// Network timings (used when `bus` is `None`: the mesh fabric).
-    pub net: NetConfig,
-    /// Replace the mesh with a split-transaction shared bus (snooping-style
-    /// fabric; see `ftcoma_net::bus`). `None` = the paper's mesh.
-    pub bus: Option<ftcoma_net::BusConfig>,
+    /// The interconnect: the paper's mesh with its network timings (the
+    /// default), or a split-transaction shared bus (snooping-style fabric;
+    /// see `ftcoma_net::bus`).
+    pub fabric: FabricConfig,
     /// Attraction-memory geometry.
     pub am: AmGeometry,
     /// Cache geometry.
@@ -71,8 +70,7 @@ impl Default for MachineConfig {
             workload: presets::water(),
             ft: FtConfig::disabled(),
             timing: MemTiming::ksr1(),
-            net: NetConfig::default(),
-            bus: None,
+            fabric: FabricConfig::default(),
             am: AmGeometry::ksr1(),
             cache: CacheGeometry::ksr1(),
             warmup_refs_per_node: 0,
@@ -85,14 +83,6 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// The interconnect selection implied by this configuration.
-    pub fn fabric(&self) -> ftcoma_net::FabricConfig {
-        match self.bus {
-            Some(bus) => ftcoma_net::FabricConfig::Bus(bus),
-            None => ftcoma_net::FabricConfig::Mesh(self.net),
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

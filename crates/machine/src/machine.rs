@@ -6,7 +6,7 @@ use ftcoma_core::{
     RecoveryOutcome, ECP_MIN_LIVE_NODES,
 };
 use ftcoma_mem::{ItemId, ItemState, NodeId};
-use ftcoma_net::{Fabric, LogicalRing, MeshGeometry, NetClass};
+use ftcoma_net::{Fabric, FabricConfig, LogicalRing, MeshGeometry, NetClass};
 use ftcoma_protocol::msg::{InjectCause, Msg};
 use ftcoma_protocol::NodeState;
 use ftcoma_sim::span::SpanRecord;
@@ -143,7 +143,7 @@ impl Machine {
         let nodes: Vec<NodeState> = (0..cfg.nodes)
             .map(|i| NodeState::new(NodeId::new(i), cfg.am, cfg.cache))
             .collect();
-        let mesh = Fabric::new(cfg.fabric(), n);
+        let mesh = Fabric::new(cfg.fabric, n);
         let engine = Engine::new(cfg.ft, cfg.timing, n);
         let mut machine = Self {
             nodes,
@@ -224,7 +224,10 @@ impl Machine {
             self.cfg.ft.mode.is_enabled(),
             "interconnect faults require the ECP machine"
         );
-        assert!(self.cfg.bus.is_none(), "link cuts need a mesh fabric");
+        assert!(
+            matches!(self.cfg.fabric, FabricConfig::Mesh(_)),
+            "link cuts need a mesh fabric"
+        );
         assert!(
             a.index() < self.nodes.len() && b.index() < self.nodes.len(),
             "no such node"
@@ -247,7 +250,10 @@ impl Machine {
             self.cfg.ft.mode.is_enabled(),
             "interconnect faults require the ECP machine"
         );
-        assert!(self.cfg.bus.is_none(), "router faults need a mesh fabric");
+        assert!(
+            matches!(self.cfg.fabric, FabricConfig::Mesh(_)),
+            "router faults need a mesh fabric"
+        );
         assert!(node.index() < self.nodes.len(), "no such node");
         self.activate_transport();
         self.queue.schedule_pre(at, Event::RouterDown { node });
@@ -324,7 +330,10 @@ impl Machine {
             panic!("{e}");
         }
         let links = if cfg.link_mtbf > 0 {
-            assert!(self.cfg.bus.is_none(), "link faults need a mesh fabric");
+            assert!(
+                matches!(self.cfg.fabric, FabricConfig::Mesh(_)),
+                "link faults need a mesh fabric"
+            );
             self.activate_transport();
             MeshGeometry::for_nodes(self.nodes.len()).links()
         } else {
@@ -943,7 +952,7 @@ impl Machine {
     /// escalates residual partitions instead of asserting. A bus has no
     /// routers to lose.
     fn mesh_stays_connected(&self, node: NodeId, alive: bool) -> bool {
-        self.cfg.bus.is_some()
+        matches!(self.cfg.fabric, FabricConfig::Bus(_))
             || MeshGeometry::for_nodes(self.nodes.len()).connected(|i| {
                 if i == node {
                     alive

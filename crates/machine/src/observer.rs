@@ -11,11 +11,12 @@
 use ftcoma_mem::NodeId;
 use ftcoma_net::HopSegment;
 use ftcoma_protocol::msg::{Msg, TxnLeg};
-use ftcoma_sim::span::{SpanId, SpanLog, SpanPhase, SpanRecord};
+use ftcoma_sim::ring::Ring;
+use ftcoma_sim::span::{SpanId, SpanIds, SpanPhase, SpanRecord};
 use ftcoma_sim::Cycles;
 
 use crate::metrics::{RunMetrics, TsSample};
-use crate::tracelog::{TraceEvent, TraceLog};
+use crate::tracelog::TraceEvent;
 
 /// Ceiling on retained time-series rows: when reached, every other row is
 /// dropped and the sampling stride doubles, keeping memory bounded on
@@ -25,9 +26,12 @@ pub(crate) const MAX_TS_ROWS: usize = 8192;
 /// The machine's recording state (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Observer {
-    trace: TraceLog,
+    trace: Ring<TraceEvent>,
     /// Causal span sink (inert when `trace_capacity` is 0).
-    spans: SpanLog,
+    spans: Ring<SpanRecord>,
+    /// Span-id counter (hands out 0, "no span", while span capture is
+    /// off).
+    span_ids: SpanIds,
     /// Open root Transaction span per node: `(id, stall time)`, id 0 =
     /// none.
     open_txn: Vec<(SpanId, Cycles)>,
@@ -56,8 +60,9 @@ impl Observer {
     /// every `ts_every` cycles (0 = off).
     pub(crate) fn new(nodes: usize, trace_capacity: usize, ts_every: Cycles) -> Self {
         Self {
-            trace: TraceLog::new(trace_capacity),
-            spans: SpanLog::new(trace_capacity),
+            trace: Ring::new(trace_capacity),
+            spans: Ring::new(trace_capacity),
+            span_ids: SpanIds::new(trace_capacity > 0),
             open_txn: vec![(0, 0); nodes],
             open_recovery: None,
             open_replay: None,
@@ -71,11 +76,11 @@ impl Observer {
     }
 
     pub(crate) fn trace(&self) -> Vec<TraceEvent> {
-        self.trace.events().cloned().collect()
+        self.trace.iter().cloned().collect()
     }
 
     pub(crate) fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.records()
+        self.spans.iter().copied().collect()
     }
 
     pub(crate) fn timeseries(&self) -> &[TsSample] {
@@ -120,7 +125,7 @@ impl Observer {
     /// before the request messages leave, so their hop spans find it.
     pub(crate) fn stall(&mut self, node: usize, now: Cycles) {
         if self.spans.enabled() {
-            self.open_txn[node] = (self.spans.alloc_id(), now);
+            self.open_txn[node] = (self.span_ids.alloc(), now);
         }
     }
 
@@ -163,7 +168,7 @@ impl Observer {
         }
         let parent = self.txn_parent(msg, to);
         if parent != 0 {
-            let id = self.spans.alloc_id();
+            let id = self.span_ids.alloc();
             self.record(id, parent, phase, to.index() as u16, sent, now);
         }
     }
@@ -180,7 +185,7 @@ impl Observer {
             return;
         }
         for h in hops {
-            let id = self.spans.alloc_id();
+            let id = self.span_ids.alloc();
             self.record(
                 id,
                 parent,
@@ -250,9 +255,9 @@ impl Observer {
                 self.close_txn_span(k, now);
             }
             self.close_recovery_tree(now);
-            let root = self.spans.alloc_id();
+            let root = self.span_ids.alloc();
             self.open_recovery = Some((root, now, i as u16));
-            let det = self.spans.alloc_id();
+            let det = self.span_ids.alloc();
             self.record(det, root, SpanPhase::Detection, i as u16, now, now);
         }
     }
@@ -263,7 +268,7 @@ impl Observer {
             self.trace.push(TraceEvent::NodeRollback { at, node, dur });
         }
         if let Some((root, _, _)) = self.open_recovery {
-            let id = self.spans.alloc_id();
+            let id = self.span_ids.alloc();
             let node = node.index() as u16;
             self.record(id, root, SpanPhase::Rollback, node, at, at + dur);
         }
@@ -287,9 +292,9 @@ impl Observer {
         }
         self.replay_start = Some(end);
         if let Some((root, _, victim)) = self.open_recovery {
-            let id = self.spans.alloc_id();
+            let id = self.span_ids.alloc();
             self.record(id, root, SpanPhase::Reconfiguration, victim, start, end);
-            self.open_replay = Some((self.spans.alloc_id(), end));
+            self.open_replay = Some((self.span_ids.alloc(), end));
         }
     }
 

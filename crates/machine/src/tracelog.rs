@@ -1,9 +1,10 @@
 //! Protocol event tracing.
 //!
 //! When enabled ([`crate::MachineConfig::trace_capacity`] > 0), the machine
-//! records the last N protocol-level events in a bounded ring buffer —
-//! message deliveries, checkpoint phases, failures and repairs — for
-//! post-mortem inspection. Tracing never affects simulated timing.
+//! records the last N protocol-level events in a bounded ring
+//! ([`ftcoma_sim::ring::Ring`]) — message deliveries, checkpoint phases,
+//! failures and repairs — for post-mortem inspection. Tracing never affects
+//! simulated timing.
 //!
 //! # Example
 //!
@@ -29,8 +30,6 @@
 //!     .count();
 //! assert!(ckpts > 0);
 //! ```
-
-use std::collections::VecDeque;
 
 use ftcoma_mem::{ItemId, NodeId};
 use ftcoma_sim::Cycles;
@@ -226,84 +225,32 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// Bounded ring buffer of [`TraceEvent`]s (oldest evicted first).
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    cap: usize,
-    events: VecDeque<TraceEvent>,
-}
-
-impl TraceLog {
-    /// Creates a log holding up to `cap` events (`0` disables tracing).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            events: VecDeque::with_capacity(cap.min(4096)),
-        }
-    }
-
-    /// Is tracing enabled?
-    pub fn enabled(&self) -> bool {
-        self.cap > 0
-    }
-
-    /// Records an event (no-op when disabled).
-    pub fn push(&mut self, e: TraceEvent) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back(e);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftcoma_sim::ring::Ring;
 
-    fn ev(at: Cycles) -> TraceEvent {
-        TraceEvent::Recovered { at }
+    /// The times of the events a trace ring of `cap` keeps after `pushes`
+    /// pushes.
+    fn kept(cap: usize, pushes: Cycles) -> Vec<Cycles> {
+        let mut log = Ring::new(cap);
+        for at in 0..pushes {
+            log.push(TraceEvent::Recovered { at });
+        }
+        log.iter().map(TraceEvent::at).collect()
     }
 
     #[test]
     fn ring_buffer_evicts_oldest() {
-        let mut log = TraceLog::new(3);
-        for t in 0..5 {
-            log.push(ev(t));
-        }
-        let times: Vec<_> = log.events().map(TraceEvent::at).collect();
-        assert_eq!(times, vec![2, 3, 4]);
+        assert_eq!(kept(3, 5), vec![2, 3, 4]);
     }
 
     #[test]
     fn ring_buffer_wraps_exactly_at_capacity() {
-        let cap = 4;
-        let mut log = TraceLog::new(cap);
-        // Fill to exactly `cap`: nothing evicted yet.
-        for t in 0..cap as Cycles {
-            log.push(ev(t));
-        }
-        assert_eq!(log.events().count(), cap);
-        assert_eq!(log.events().next().map(TraceEvent::at), Some(0));
-        // The (cap+1)-th push evicts exactly the oldest event.
-        log.push(ev(cap as Cycles));
-        let times: Vec<_> = log.events().map(TraceEvent::at).collect();
-        assert_eq!(times, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = TraceLog::new(0);
-        log.push(ev(1));
-        assert_eq!(log.events().count(), 0);
-        assert!(!log.enabled());
+        // Filled to exactly its capacity, the ring has evicted nothing;
+        // the next push evicts exactly the oldest event.
+        assert_eq!(kept(4, 4), vec![0, 1, 2, 3]);
+        assert_eq!(kept(4, 5), vec![1, 2, 3, 4]);
     }
 
     #[test]

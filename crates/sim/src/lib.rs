@@ -14,7 +14,9 @@
 //! * [`stats`] — the log₂ latency histogram behind the access-latency and
 //!   per-phase percentiles of `ftcoma-machine`'s metrics;
 //! * [`span`] — causal span records (typed phases, parent links) for the
-//!   transaction- and recovery-time decompositions.
+//!   transaction- and recovery-time decompositions;
+//! * [`ring`] — the bounded ring that holds the machine's spans and
+//!   protocol trace.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 pub mod fxhash;
 pub mod json;
 pub mod queue;
+pub mod ring;
 pub mod rng;
 pub mod span;
 pub mod stats;

@@ -9,8 +9,8 @@
 //! transaction span and a recovery becomes a tree rooted at the recovery
 //! span.
 //!
-//! Collection follows the same discipline as the machine's trace ring:
-//! a [`SpanLog`] with capacity 0 is a no-op sink (the zero-cost-when-
+//! The machine collects records in a [`Ring`](crate::ring::Ring), like
+//! its protocol trace: capacity 0 is a no-op sink (the zero-cost-when-
 //! disabled invariant), a bounded one retains the **newest** closed spans
 //! and evicts the oldest. Records are pushed when a span *closes*, so
 //! eviction can never drop the most recent span-close events.
@@ -18,20 +18,17 @@
 //! # Example
 //!
 //! ```
-//! use ftcoma_sim::span::{SpanLog, SpanPhase, SpanRecord};
+//! use ftcoma_sim::ring::Ring;
+//! use ftcoma_sim::span::{SpanPhase, SpanRecord};
 //!
-//! let mut log = SpanLog::new(16);
-//! let txn = log.alloc_id();
-//! let leg = log.alloc_id();
-//! log.push(SpanRecord { id: leg, parent: txn, phase: SpanPhase::DirLookup,
+//! let mut log = Ring::new(16);
+//! log.push(SpanRecord { id: 2, parent: 1, phase: SpanPhase::DirLookup,
 //!                       node: 3, start: 100, end: 130 });
-//! log.push(SpanRecord { id: txn, parent: 0, phase: SpanPhase::Transaction,
+//! log.push(SpanRecord { id: 1, parent: 0, phase: SpanPhase::Transaction,
 //!                       node: 0, start: 100, end: 216 });
-//! assert_eq!(log.records().len(), 2);
-//! assert_eq!(log.records()[1].duration(), 116);
+//! let root = log.iter().find(|s| s.parent == 0).unwrap();
+//! assert_eq!(root.duration(), 116);
 //! ```
-
-use std::collections::VecDeque;
 
 use crate::Cycles;
 
@@ -148,78 +145,34 @@ impl SpanRecord {
     }
 }
 
-/// A bounded ring of closed spans.
-///
-/// Mirrors the machine's `TraceLog`: capacity 0 disables the sink
-/// entirely (`push` is a no-op, [`SpanLog::enabled`] is false), a bounded
-/// log evicts the *oldest* record when full. Because records are pushed
-/// at close time, the newest span-close events always survive
-/// wraparound.
-#[derive(Debug, Clone, Default)]
-pub struct SpanLog {
-    records: VecDeque<SpanRecord>,
-    capacity: usize,
-    next_id: SpanId,
+/// The span-id counter of one run: hands out 1, 2, 3, … while span
+/// capture is on, and 0 ("no span") while it is off, so parent links stay
+/// inert.
+#[derive(Debug, Clone)]
+pub struct SpanIds {
+    on: bool,
+    last: SpanId,
 }
 
-impl SpanLog {
-    /// Creates a log retaining at most `capacity` records (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            records: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            next_id: 0,
+impl SpanIds {
+    /// A counter for a run with span capture `on` or off.
+    pub fn new(on: bool) -> Self {
+        Self { on, last: 0 }
+    }
+
+    /// A fresh id, or 0 while capture is off.
+    pub fn alloc(&mut self) -> SpanId {
+        if self.on {
+            self.last += 1;
         }
-    }
-
-    /// Is the sink collecting at all?
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Allocates a fresh span id (1, 2, 3, ... within a run). Returns 0
-    /// when the sink is disabled, so disabled runs allocate nothing and
-    /// parent links stay inert.
-    pub fn alloc_id(&mut self) -> SpanId {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.next_id += 1;
-        self.next_id
-    }
-
-    /// Records a closed span, evicting the oldest record when full.
-    /// No-op while disabled or for records of disabled allocations
-    /// (`id == 0`).
-    pub fn push(&mut self, record: SpanRecord) {
-        if self.capacity == 0 || record.id == 0 {
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back(record);
-    }
-
-    /// The retained records, oldest close first.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        self.records.iter().copied().collect()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.last
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Ring;
 
     fn rec(id: SpanId, end: Cycles) -> SpanRecord {
         SpanRecord {
@@ -234,43 +187,30 @@ mod tests {
 
     #[test]
     fn disabled_log_is_inert() {
-        let mut log = SpanLog::new(0);
+        let mut log = Ring::new(0);
         assert!(!log.enabled());
-        assert_eq!(log.alloc_id(), 0);
+        assert_eq!(SpanIds::new(log.enabled()).alloc(), 0);
         log.push(rec(1, 50));
-        assert!(log.is_empty());
+        assert_eq!(log.iter().count(), 0);
     }
 
     #[test]
     fn ids_are_dense_and_nonzero() {
-        let mut log = SpanLog::new(4);
-        assert_eq!(log.alloc_id(), 1);
-        assert_eq!(log.alloc_id(), 2);
-        assert_eq!(log.alloc_id(), 3);
+        let mut ids = SpanIds::new(true);
+        assert_eq!([ids.alloc(), ids.alloc(), ids.alloc()], [1, 2, 3]);
     }
 
-    #[test]
-    fn records_with_zero_id_are_dropped() {
-        // A span allocated while the sink was disabled must not be
-        // recorded even if the record is pushed later.
-        let mut log = SpanLog::new(4);
-        log.push(rec(0, 10));
-        assert!(log.is_empty());
-    }
-
-    /// Satellite regression: ring wraparound evicts the *oldest* closes;
-    /// the newest span-close events are always retained.
+    /// Ring wraparound evicts the *oldest* closes; the newest span-close
+    /// events are always retained.
     #[test]
     fn wraparound_keeps_newest_closes() {
-        let mut log = SpanLog::new(3);
+        let mut log = Ring::new(3);
+        let mut ids = SpanIds::new(true);
         for end in 1..=10u64 {
-            let id = log.alloc_id();
-            log.push(rec(id, end));
+            log.push(rec(ids.alloc(), end));
         }
-        let kept = log.records();
-        assert_eq!(kept.len(), 3);
         assert_eq!(
-            kept.iter().map(|r| r.end).collect::<Vec<_>>(),
+            log.iter().map(|r| r.end).collect::<Vec<_>>(),
             vec![8, 9, 10],
             "eviction must drop the oldest closes, never the newest"
         );

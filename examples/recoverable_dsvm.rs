@@ -19,7 +19,7 @@
 
 use ftcoma_core::FtConfig;
 use ftcoma_machine::{Decomposition, Machine, MachineConfig};
-use ftcoma_net::BusConfig;
+use ftcoma_net::{BusConfig, FabricConfig};
 use ftcoma_protocol::MemTiming;
 use ftcoma_workloads::presets;
 
@@ -54,7 +54,7 @@ fn main() {
     // one shared network segment.
     let dsvm = MachineConfig {
         timing: MemTiming::software_dsm(),
-        bus: Some(BusConfig {
+        fabric: FabricConfig::Bus(BusConfig {
             arbitration: 200,
             propagation: 400,
             ni_overhead: 600, // protocol-stack traversal

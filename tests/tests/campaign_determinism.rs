@@ -1,6 +1,7 @@
 //! Cross-crate reproducibility gate: a campaign's report is a pure
-//! function of its spec, independent of worker count — the property the CI
-//! `determinism` job enforces on the built binary.
+//! function of its spec, independent of worker count — the property CI
+//! enforces on the built binary by byte-diffing `scripts/reports.sh` at
+//! `--jobs 1` and `--jobs 4`.
 
 use ftcoma_campaign::{report, run_cells, CampaignSpec, ScenarioKind};
 

@@ -6,7 +6,7 @@ use ftcoma_core::FtConfig;
 use ftcoma_machine::tracelog::TraceEvent;
 use ftcoma_machine::{FailureKind, Machine, MachineConfig};
 use ftcoma_mem::NodeId;
-use ftcoma_net::{BusConfig, NetConfig};
+use ftcoma_net::{BusConfig, FabricConfig, NetConfig};
 use ftcoma_workloads::presets;
 
 fn base() -> MachineConfig {
@@ -23,7 +23,7 @@ fn base() -> MachineConfig {
 #[test]
 fn wormhole_switching_preserves_correctness() {
     let mut m = Machine::new(MachineConfig {
-        net: NetConfig::wormhole(),
+        fabric: FabricConfig::Mesh(NetConfig::wormhole()),
         ..base()
     });
     m.schedule_failure(20_000, NodeId::new(3), FailureKind::Transient);
@@ -35,7 +35,7 @@ fn wormhole_switching_preserves_correctness() {
 #[test]
 fn bus_fabric_preserves_correctness_under_failure() {
     let mut m = Machine::new(MachineConfig {
-        bus: Some(BusConfig::default()),
+        fabric: FabricConfig::Bus(BusConfig::default()),
         ..base()
     });
     m.schedule_failure(30_000, NodeId::new(5), FailureKind::Permanent);
@@ -51,7 +51,7 @@ fn single_medium_bus_works_too() {
         ..BusConfig::default()
     };
     let mut m = Machine::new(MachineConfig {
-        bus: Some(bus),
+        fabric: FabricConfig::Bus(bus),
         ..base()
     });
     m.run();
@@ -190,7 +190,7 @@ fn link_report_covers_mesh_traffic() {
     }
     // Bus fabrics report no links.
     let mut bus = Machine::new(MachineConfig {
-        bus: Some(BusConfig::default()),
+        fabric: FabricConfig::Bus(BusConfig::default()),
         ..base()
     });
     bus.run();

@@ -196,7 +196,7 @@ fn bus_fabric_runs_and_saturates_vs_mesh() {
         ..MachineConfig::default()
     };
     let bus_cfg = MachineConfig {
-        bus: Some(ftcoma_net::BusConfig::default()),
+        fabric: ftcoma_net::FabricConfig::Bus(ftcoma_net::BusConfig::default()),
         ..mesh_cfg.clone()
     };
     let mut mesh_m = Machine::new(mesh_cfg);
